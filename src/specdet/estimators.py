@@ -148,45 +148,35 @@ def logdet_taylor(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Log
 
 
 def _chebyshev_log_coefficients(m: int, a: float) -> np.ndarray:
-    """Chebyshev coefficients interpolating log on [a, 1] at Radau nodes.
+    """Coefficients c with sum_k c_k T_k(2x - 1) interpolating log on [a, 1].
 
-    The right-endpoint Radau grid contains x = 1, so a spectrum sitting
-    exactly at 1 (identity matrix) is reproduced with zero interpolation
-    error; below a the interpolant extrapolates freely, which is this
-    baseline's documented failure mode on ill-conditioned matrices.
+    The interpolation nodes are a right-endpoint Radau grid mapped to
+    [a, 1]. It contains x = 1, so a spectrum sitting exactly at 1 (identity
+    matrix) is reproduced with zero interpolation error; below a the
+    interpolant extrapolates freely, which is this baseline's documented
+    failure mode on ill-conditioned matrices.
     """
     k = np.arange(m + 1)
     x = np.cos(2.0 * np.pi * k / (2 * m + 1))
     lam = 0.5 * (x + 1.0) * (1.0 - a) + a
-    return np.polynomial.chebyshev.chebfit(x, np.log(lam), m)
+    return np.polynomial.chebyshev.chebfit(2.0 * lam - 1.0, np.log(lam), m)
 
 
 def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
     """Degree-m Chebyshev interpolation of log on [a, 1] applied to B.
 
-    a = cfg.cheb_floor; eigenvalues below a are extrapolated, which is the
-    documented weakness of this baseline on ill-conditioned matrices.
+    The interpolant is a fixed combination of the shifted Chebyshev
+    moments of B. a = cfg.cheb_floor; eigenvalues below a are
+    extrapolated, which is the documented weakness of this baseline on
+    ill-conditioned matrices.
     """
     cfg = cfg or EstimatorConfig()
     t0 = time.perf_counter()
-    a = cfg.cheb_floor
     lam_u = gershgorin_upper_bound(op)
     B = NormalizedOperator(op, lam_u)
-    c = _chebyshev_log_coefficients(cfg.m, a)
-    # mapped operator M = (2B - (1+a) I) / (1 - a) has spectrum in [-1, 1]
-    scale, shift = 2.0 / (1.0 - a), (1.0 + a) / (1.0 - a)
-    Z = probe_matrix(op.n, cfg.d, cfg.seed)
-    n, d = op.n, cfg.d
-    acc = c[0] * np.einsum("ij,ij->j", Z, Z)
-    prev = Z
-    cur = scale * B.matmat(Z) - shift * Z
-    if cfg.m >= 1:
-        acc = acc + c[1] * np.einsum("ij,ij->j", Z, cur)
-    for i in range(2, cfg.m + 1):
-        nxt = 2.0 * (scale * B.matmat(cur) - shift * cur) - prev
-        acc = acc + c[i] * np.einsum("ij,ij->j", Z, nxt)
-        prev, cur = cur, nxt
-    value = float(acc.mean() + n * np.log(lam_u))
+    moments = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed)
+    c = _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor)
+    value = float(op.n * (c @ moments.values) + op.n * np.log(lam_u))
     return LogDetEstimate(
         value=value, method="chebyshev", lambda_u=lam_u,
         m=cfg.m, d=cfg.d, seed=cfg.seed,

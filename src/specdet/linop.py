@@ -12,6 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 
 
+_ROW_BLOCK_ELEMS = 1 << 15
+
+
 class MatrixMarketError(ValueError):
     """Raised for files that violate the coordinate symmetric contract."""
 
@@ -26,8 +29,8 @@ class LinearOperator:
         raise NotImplementedError
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        """Apply to each column of X. Subclasses override with a fused path."""
-        return np.column_stack([self.matvec(X[:, j]) for j in range(X.shape[1])])
+        """Apply to each column of X at once."""
+        raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
         raise NotImplementedError
@@ -73,7 +76,12 @@ class DenseOperator(LinearOperator):
         return np.diag(self.A).copy()
 
     def abs_row_sums(self) -> np.ndarray:
-        return np.abs(self.A).sum(axis=1)
+        # row blocks of ~256 KB stay in cache instead of allocating all of |A|
+        out = np.empty(self.n)
+        step = max(1, _ROW_BLOCK_ELEMS // self.n)
+        for i in range(0, self.n, step):
+            np.abs(self.A[i:i + step]).sum(axis=1, out=out[i:i + step])
+        return out
 
 
 class SparseOperator(LinearOperator):

@@ -17,6 +17,7 @@ singularity and ill-conditioned spectra pile up mass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,15 @@ class SolveResult:
     converged: bool
 
 
+@functools.cache
+def _gauss_legendre(k: int):
+    """Read-only k-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(k)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def quadrature_grid(floor: float, panels: int, nodes_per_panel: int,
                     ceil_gap: float = 1e-10):
     """Composite Gauss-Legendre nodes/weights on [floor, 1 - ceil_gap].
@@ -152,16 +162,13 @@ def quadrature_grid(floor: float, panels: int, nodes_per_panel: int,
     """
     if not (0.0 < floor < 0.5):
         raise ValueError("floor must lie in (0, 0.5)")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = _gauss_legendre(nodes_per_panel)
     left = floor * (0.5 / floor) ** (np.arange(panels + 1) / panels)
     gaps = 0.5 * (ceil_gap / 0.5) ** (np.arange(panels + 1) / panels)
     edges = np.concatenate([left, (1.0 - gaps)[1:]])
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(a + half * (x + 1.0))
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = edges[:-1, None] + half * (x + 1.0)
+    return nodes.ravel(), (half * w).ravel()
 
 
 class DualProblem:

@@ -1,10 +1,20 @@
 """Stochastic estimation of normalized spectral moments.
 
 Moments mu_i = (1/n) Tr f_i(B) are estimated with Rademacher probes
-(Hutchinson's method) and per-probe three-term recurrences, so each probe
-costs exactly m matrix-vector products. Three bases are supported on
-[0, 1]: raw powers, shifted Chebyshev T_i(2x-1), and shifted Legendre
-P_i(2x-1).
+(Hutchinson's method). Three bases are supported on [0, 1]: raw powers,
+shifted Chebyshev T_i(2x-1), and shifted Legendre P_i(2x-1).
+
+The probe block Z is advanced through the lower half of the basis only,
+V_k = f_k(B) Z for k <= ceil(m/2), one block product per step; for
+symmetric B the upper half follows from column inner products,
+
+    z.B^2k z = |B^k z|^2,                z.B^(2k+1) z = (B^k z).(B^(k+1) z),
+    z.T_2k z = 2 |T_k z|^2 - z.z,        z.T_2k+1 z = 2 (T_k z).(T_k+1 z) - z.T_1 z,
+
+so m moments cost ceil(m/2) block products (the doubling trick of the
+kernel polynomial method; Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
+Phys. 78, 2006). Legendre moments are an exact linear map of the
+Chebyshev ones.
 """
 
 from __future__ import annotations
@@ -54,6 +64,18 @@ class MomentBasis:
                 else:
                     F[:, i + 1] = ((2 * i + 1) * t * F[:, i] - i * F[:, i - 1]) / (i + 1)
         return F
+
+    def chebyshev_matrix(self) -> np.ndarray:
+        """Exact change of basis L with f_i(x) = sum_k L[i, k] T_k(2x - 1).
+
+        Interpolates f_0..f_m at the m+1 Chebyshev points, where the
+        Chebyshev Vandermonde matrix is orthogonal up to column scaling.
+        """
+        m = self.order
+        x = 0.5 * (np.cos(np.pi * (np.arange(m + 1) + 0.5) / (m + 1)) + 1.0)
+        T = MomentBasis(CHEBYSHEV, m).vandermonde(x)
+        # lower triangular in exact arithmetic; drop the round-off above it
+        return np.tril(np.linalg.solve(T, self.vandermonde(x)).T)
 
     def to_power_matrix(self) -> np.ndarray:
         """Exact change of basis C with f_i(x) = sum_k C[i, k] x^k."""
@@ -118,41 +140,49 @@ def probe_matrix(n: int, d: int, seed: int) -> np.ndarray:
     return Z
 
 
+def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Column-wise inner products X[:, j].Y[:, j]."""
+    return np.einsum("ij,ij->j", X, Y)
+
+
 def _moment_samples(op, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
-    """Per-probe quadratic forms z_j.f_i(B)z_j / n; shape (d, m+1)."""
+    """Per-probe quadratic forms z_j.f_i(B)z_j / n; shape (d, m+1).
+
+    Makes ceil(m/2) calls to op.matmat; see the module docstring.
+    """
+    if basis.kind == LEGENDRE:
+        cheb = _moment_samples(op, MomentBasis(CHEBYSHEV, basis.order), Z)
+        return cheb @ basis.chebyshev_matrix().T
     n, d = Z.shape
     m = basis.order
+    power = basis.kind == POWER
+    # s_2k = a V_k.V_k - b s_0 and s_2k+1 = a V_k.V_k+1 - b s_1
+    a, b = (1.0, 0.0) if power else (2.0, 1.0)
     samples = np.empty((d, m + 1))
-    samples[:, 0] = np.einsum("ij,ij->j", Z, Z) / n
-    if m == 0:
-        return samples
-    if basis.kind == POWER:
-        W = op.matmat(Z)
-        samples[:, 1] = np.einsum("ij,ij->j", Z, W) / n
-        for i in range(2, m + 1):
-            W = op.matmat(W)
-            samples[:, i] = np.einsum("ij,ij->j", Z, W) / n
-    else:
-        # recurrences in t = 2B - I applied to the probe block
-        prev = Z
-        cur = 2.0 * op.matmat(Z) - Z
-        samples[:, 1] = np.einsum("ij,ij->j", Z, cur) / n
-        for i in range(1, m):
+    samples[:, 0] = _col_dot(Z, Z) / n
+    prev, cur = None, Z
+    for k in range(1, (m + 1) // 2 + 1):
+        if power:
+            nxt = op.matmat(cur)
+        else:
+            # recurrence in t = 2B - I applied to the probe block
             tcur = 2.0 * op.matmat(cur) - cur
-            if basis.kind == CHEBYSHEV:
-                nxt = 2.0 * tcur - prev
-            else:
-                nxt = ((2 * i + 1) * tcur - i * prev) / (i + 1)
-            samples[:, i + 1] = np.einsum("ij,ij->j", Z, nxt) / n
-            prev, cur = cur, nxt
+            nxt = tcur if k == 1 else 2.0 * tcur - prev
+        if k == 1:
+            samples[:, 1] = _col_dot(Z, nxt) / n
+        else:
+            samples[:, 2 * k - 1] = a * _col_dot(cur, nxt) / n - b * samples[:, 1]
+        if 2 * k <= m:
+            samples[:, 2 * k] = a * _col_dot(nxt, nxt) / n - b * samples[:, 0]
+        prev, cur = cur, nxt
     return samples
 
 
 def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMoments:
     """Monte Carlo moment estimates over d probes, deterministic in seed.
 
-    `op` is typically a NormalizedOperator; anything with .n and .matmat
-    works. Probes are reduced in index order, so results are bit-identical
+    `op` is typically a NormalizedOperator; any symmetric operator with .n
+    and .matmat works (the doubling identities need symmetry). Probes are reduced in index order, so results are bit-identical
     for identical arguments.
     """
     if d < 1:

@@ -1,13 +1,18 @@
 """End-to-end estimators against the Cholesky oracle."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.interpolate
 
 from specdet.estimators import (EstimatorConfig, NotPositiveDefiniteError,
                                 condition_number_estimate, estimate_logdet,
                                 logdet_chebyshev, logdet_exact, logdet_lanczos,
                                 logdet_maxent, logdet_taylor)
-from specdet.linop import DenseOperator, identity
+from specdet.linop import DenseOperator, LinearOperator, identity, normalize
+from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
+                            estimate_moments, probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
 
 LN8 = np.log(8.0)
@@ -22,6 +27,23 @@ def random_spd(n, seed, lo=0.05, hi=1.0):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = rng.uniform(lo, hi, n)
     return DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True)
+
+
+class CountingOperator(LinearOperator):
+    """Delegates to a dense operator and counts block products."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.symmetric = inner.symmetric
+        self.matmats = 0
+
+    def matmat(self, X):
+        self.matmats += 1
+        return self.inner.matmat(X)
+
+    def abs_row_sums(self):
+        return self.inner.abs_row_sums()
 
 
 class TestExact:
@@ -107,6 +129,40 @@ class TestChebyshev:
         cfg = EstimatorConfig(m=20, d=8, seed=1, cheb_floor=0.2)
         est = logdet_chebyshev(diag124(), cfg)
         assert est.value == pytest.approx(LN8, abs=1e-3)
+
+    def test_matches_interpolant_of_dense_matrix(self):
+        # n log lambda_u + mean_j z_j.q(B)z_j with q, the degree-m interpolant
+        # of log at the mapped Radau nodes, applied through eigh
+        op = random_spd(40, 3, lo=0.02)
+        m, a = 10, 0.01
+        cfg = EstimatorConfig(m=m, d=7, seed=5, cheb_floor=a)
+        est = logdet_chebyshev(op, cfg)
+        x = np.cos(2.0 * np.pi * np.arange(m + 1) / (2 * m + 1))
+        nodes = 0.5 * (x + 1.0) * (1.0 - a) + a
+        q = scipy.interpolate.BarycentricInterpolator(nodes, np.log(nodes))
+        lam_u = np.abs(op.A).sum(axis=1).max()
+        lam, V = np.linalg.eigh(op.A / lam_u)
+        qB = V @ np.diag(q(lam)) @ V.T
+        Z = probe_matrix(40, 7, seed=5)
+        expected = 40 * np.log(lam_u) + np.mean(np.einsum("ij,ij->j", Z, qB @ Z))
+        assert est.value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+class TestMatmatCount:
+    """m moments cost ceil(m/2) block products in every consumer."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 6, 30])
+    def test_half_the_moment_order(self, m):
+        base = random_spd(30, 2, lo=0.2)
+        cfg = EstimatorConfig(m=m, d=3, seed=0)
+        for kind in (POWER, CHEBYSHEV, LEGENDRE):
+            op = CountingOperator(base)
+            estimate_moments(normalize(op), MomentBasis(kind, m), d=3, seed=0)
+            assert op.matmats == math.ceil(m / 2), kind
+        for fn in (logdet_taylor, logdet_chebyshev):
+            op = CountingOperator(base)
+            fn(op, cfg)
+            assert op.matmats == math.ceil(m / 2), fn.__name__
 
 
 class TestLanczos:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from specdet.linop import (DenseOperator, MatrixMarketError, SparseOperator,
-                           gershgorin_upper_bound, identity, normalize,
-                           read_matrix_market, write_matrix_market)
+from specdet.linop import (DenseOperator, LinearOperator, MatrixMarketError,
+                           SparseOperator, gershgorin_upper_bound, identity,
+                           normalize, read_matrix_market, write_matrix_market)
 
 
 def tridiag(n, diag=2.0, off=-1.0):
@@ -65,6 +65,19 @@ class TestSparseOperator:
                                      [2.0, -1.0, 2.0, 3.0], 3)
         X = np.random.default_rng(2).standard_normal((3, 5))
         assert np.allclose(op.matmat(X), op.to_dense() @ X)
+
+
+class TestDenseOperator:
+    def test_abs_row_sums_exact_across_row_blocks(self):
+        # 300 rows span several row blocks, the last one short
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((300, 300))
+        A = A + A.T
+        assert np.array_equal(DenseOperator(A).abs_row_sums(), np.abs(A).sum(axis=1))
+
+    def test_base_class_has_no_product(self):
+        with pytest.raises(NotImplementedError):
+            LinearOperator().matmat(np.ones((2, 2)))
 
 
 class TestGershgorin:

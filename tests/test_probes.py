@@ -66,6 +66,15 @@ class TestMomentBasis:
             P = np.vander(lam, 9, increasing=True)
             assert np.allclose(P @ C.T, basis.vandermonde(lam), atol=1e-10)
 
+    def test_chebyshev_matrix_consistency(self):
+        lam = np.linspace(0.0, 1.0, 17)
+        T = MomentBasis(CHEBYSHEV, 8).vandermonde(lam)
+        for kind in (POWER, CHEBYSHEV, LEGENDRE):
+            basis = MomentBasis(kind, 8)
+            L = basis.chebyshev_matrix()
+            assert np.array_equal(L, np.tril(L))
+            assert np.allclose(T @ L.T, basis.vandermonde(lam), atol=1e-13)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown basis kind"):
             MomentBasis("fourier", 3)
@@ -100,24 +109,27 @@ class TestEstimateMoments:
         m2 = estimate_moments(B, MomentBasis(CHEBYSHEV, 4), d=8, seed=11)
         assert np.array_equal(m1.values, m2.values)
 
-    def test_recurrence_matches_dense_polynomial(self):
-        # cross-check the probe recurrences against explicit f_i(B)
+    @pytest.mark.parametrize("m", [1, 2, 5, 6])
+    def test_recurrence_matches_dense_polynomial(self, m):
+        # cross-check the doubled probe recurrences against explicit f_i(B),
+        # probe by probe, for both parities of m
         rng = np.random.default_rng(7)
         A = rng.standard_normal((15, 15))
         K = A @ A.T + np.eye(15)
         B = normalize(DenseOperator(K))
         Bd = K / np.abs(K).sum(axis=1).max()
         lam, V = np.linalg.eigh(Bd)
+        Z = probe_matrix(15, 3, seed=4)
         for kind in (POWER, CHEBYSHEV, LEGENDRE):
-            basis = MomentBasis(kind, 5)
+            basis = MomentBasis(kind, m)
             mom = estimate_moments(B, basis, d=3, seed=4)
-            Z = probe_matrix(15, 3, seed=4)
             F = basis.vandermonde(lam)
-            expected = np.zeros(6)
-            for i in range(6):
+            samples = np.empty((3, m + 1))
+            for i in range(m + 1):
                 fB = V @ np.diag(F[:, i]) @ V.T
-                expected[i] = np.mean(np.einsum("ij,ij->j", Z, fB @ Z)) / 15
-            assert np.allclose(mom.values, expected, atol=1e-10)
+                samples[:, i] = np.einsum("ij,ij->j", Z, fB @ Z) / 15
+            assert np.allclose(mom.values, samples.mean(axis=0), atol=1e-10)
+            assert np.allclose(mom.variance, samples.var(axis=0, ddof=1), atol=1e-10)
 
     def test_unbiased_toward_true_moments(self):
         lam = np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
