@@ -30,6 +30,9 @@ EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 EXIT_NONCONVERGED = 5
 
+# what an estimate can raise on input that parsed but cannot be estimated
+_NUMERICAL_ERRORS = (NotPositiveDefiniteError, ValueError, RuntimeError, OverflowError)
+
 METHODS = ("maxent", "taylor", "chebyshev", "lanczos", "exact")
 
 CSV_COLUMNS = [
@@ -128,7 +131,7 @@ def cmd_logdet(args) -> int:
     cfg = _estimator_config(args, min_eig)
     try:
         est = estimate_logdet(op, args.method, cfg)
-    except (NotPositiveDefiniteError, ValueError, RuntimeError, OverflowError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
@@ -150,9 +153,12 @@ def cmd_moments(args) -> int:
     except (MatrixMarketError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    B = normalize(op)
-    moments = estimate_moments(B, MomentBasis(args.basis, args.moments),
-                               args.probes, args.seed)
+    try:
+        moments = estimate_moments(normalize(op), MomentBasis(args.basis, args.moments),
+                                   args.probes, args.seed)
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if args.json:
         print(json.dumps({
             "dataset": dataset, "basis": args.basis, "m": args.moments,
@@ -187,7 +193,7 @@ def _bench_case(op, dataset, lengthscale, min_eig, method, args) -> BenchRecord:
             record.rel_error = _rel_error(est.value, record.exact)
         if not est.converged:
             record.error = "non-converged"
-    except (NotPositiveDefiniteError, ValueError, RuntimeError, OverflowError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         record.error = str(exc)
     return record
 

@@ -184,53 +184,72 @@ def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> 
     )
 
 
-def _lanczos_quadrature(B: NormalizedOperator, z: np.ndarray, m: int):
-    """Ritz values and first-component weights from m Lanczos steps.
+# Largest Lanczos basis one block of probes may hold; a single probe's basis
+# is allowed to exceed it, which is what one probe at a time needs anyway.
+_BASIS_BYTES = 8 << 20
 
-    Full reorthogonalization; breakdown (beta ~ 0) truncates early, which
-    is exact for an invariant subspace.
+
+def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.ndarray:
+    """z'log(B)z / z'z for each column z of Z by m-step Lanczos quadrature.
+
+    All columns run the three-term recurrence together, one `matmat` per
+    step, each with one-pass full reorthogonalization against its own
+    basis. A column whose beta falls below 1e-12 has reached an invariant
+    subspace: it stops there, which is exact, and its later vectors are
+    zero. The loop ends once every column has stopped.
     """
-    n = z.size
-    q = z / np.linalg.norm(z)
-    Q = np.empty((n, m))
-    alphas = np.empty(m)
-    betas = np.empty(max(m - 1, 0))
-    Q[:, 0] = q
-    steps = m
+    n, b = Z.shape
+    Q = np.zeros((b, m, n))  # Q[i, j] is the j-th Lanczos vector of column i
+    Q[:, 0] = Z.T / np.linalg.norm(Z, axis=0)[:, None]
+    alphas = np.zeros((b, m))
+    betas = np.zeros((b, max(m - 1, 0)))
+    steps = np.full(b, m)
+    active = np.ones(b, dtype=bool)
     for j in range(m):
-        w = B.matvec(Q[:, j])
-        a = Q[:, j] @ w
-        alphas[j] = a
-        w -= a * Q[:, j]
-        if j > 0:
-            w -= betas[j - 1] * Q[:, j - 1]
-        w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
+        q = Q[:, j]
+        W = np.ascontiguousarray(B.matmat(q.T).T)
+        alphas[:, j] = np.matmul(W[:, None, :], q[:, :, None])[:, 0, 0]
         if j == m - 1:
             break
-        b = np.linalg.norm(w)
-        if b < 1e-12:
-            steps = j + 1
+        W -= alphas[:, j, None] * q
+        if j > 0:
+            W -= betas[:, j - 1, None] * Q[:, j - 1]
+        basis = Q[:, : j + 1]
+        W -= np.matmul(np.matmul(basis, W[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
+        beta = np.linalg.norm(W, axis=1)
+        stopped = active & (beta < 1e-12)
+        steps[stopped] = j + 1
+        active &= ~stopped
+        if not active.any():
             break
-        betas[j] = b
-        Q[:, j + 1] = w / b
-    theta, V = scipy.linalg.eigh_tridiagonal(alphas[:steps], betas[: steps - 1])
-    weights = V[0, :] ** 2
-    return theta, weights
+        betas[active, j] = beta[active]
+        np.divide(W, beta[:, None], out=Q[:, j + 1], where=active[:, None])
+    out = np.empty(b)
+    for i, s in enumerate(steps):
+        theta, V = scipy.linalg.eigh_tridiagonal(alphas[i, :s], betas[i, : s - 1])
+        # roundoff can push a Ritz value of a near-singular B nonpositive
+        theta = np.maximum(theta, np.finfo(float).eps * theta.max())
+        out[i] = V[0, :] ** 2 @ np.log(theta)
+    return out
 
 
 def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
-    """Stochastic Lanczos quadrature of log over the normalized spectrum."""
+    """Stochastic Lanczos quadrature of log over the normalized spectrum.
+
+    The probes run in ceil(d / w) balanced blocks of at most w columns,
+    with w chosen from (n, m) alone so no block's basis exceeds
+    `_BASIS_BYTES` unless a single probe's does.
+    """
     cfg = cfg or EstimatorConfig()
     t0 = time.perf_counter()
     lam_u = gershgorin_upper_bound(op)
     B = NormalizedOperator(op, lam_u)
+    m = min(cfg.m, op.n)
+    width = max(1, _BASIS_BYTES // (8 * m * op.n))
     Z = probe_matrix(op.n, cfg.d, cfg.seed)
-    per_probe = np.empty(cfg.d)
-    for j in range(cfg.d):
-        theta, w = _lanczos_quadrature(B, Z[:, j], min(cfg.m, op.n))
-        # roundoff can push a Ritz value of a near-singular B nonpositive
-        theta = np.maximum(theta, np.finfo(float).eps * theta.max())
-        per_probe[j] = w @ np.log(theta)
+    per_probe = np.concatenate([
+        _lanczos_log_quadrature(B, block, m)
+        for block in np.array_split(Z, -(-cfg.d // width), axis=1)])
     value = float(op.n * per_probe.mean() + op.n * np.log(lam_u))
     return LogDetEstimate(
         value=value, method="lanczos", lambda_u=lam_u,
@@ -254,19 +273,19 @@ def condition_number_estimate(op: LinearOperator, iterations: int = 200,
     lam_u = gershgorin_upper_bound(op)
 
     def power_iter(apply_fn):
-        v = rng.standard_normal(n)
+        v = rng.standard_normal((n, 1))
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(iterations):
             w = apply_fn(v)
-            lam = v @ w
+            lam = v[:, 0] @ w[:, 0]
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 return 0.0
             v = w / norm
         return lam
 
-    lam_max = power_iter(op.matvec)
+    lam_max = power_iter(op.matmat)
     lam_min = None
     if n <= factor_guard:
         try:
@@ -278,7 +297,7 @@ def condition_number_estimate(op: LinearOperator, iterations: int = 200,
             if inv_lam > 0.0:
                 lam_min = 1.0 / inv_lam
     if lam_min is None:
-        lam_min = lam_u - power_iter(lambda v: lam_u * v - op.matvec(v))
+        lam_min = lam_u - power_iter(lambda v: lam_u * v - op.matmat(v))
     if lam_min <= 0.0:
         lam_min = np.finfo(float).tiny
     return float(lam_max / lam_min)

@@ -1,9 +1,10 @@
 """Symmetric linear operators with dense or sparse backing.
 
-Everything downstream only needs matrix-vector products, the dimension,
-and a cheap upper bound on the largest eigenvalue, so operators expose
-exactly that. Sparse symmetric matrices keep one triangle in memory and
-expand it logically inside matvec.
+Everything downstream only needs block products `matmat` (the operator
+applied to every column of an n-by-k array at once), the dimension, and a
+cheap upper bound on the largest eigenvalue, so operators expose exactly
+that. Sparse symmetric matrices keep one triangle in memory and expand it
+logically inside matmat.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ class MatrixMarketError(ValueError):
 
 
 class LinearOperator:
-    """Base class: square operator of dimension n supporting matvec."""
+    """Base class: square operator of dimension n supporting matmat."""
 
     n: int
     symmetric: bool
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Apply to each column of X at once."""
@@ -41,12 +39,6 @@ class LinearOperator:
     def abs_row_sums(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_dim(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return x
-
 
 class DenseOperator(LinearOperator):
     """Operator backed by a dense symmetric ndarray."""
@@ -55,6 +47,8 @@ class DenseOperator(LinearOperator):
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got shape {A.shape}")
+        if A.shape[0] < 1:
+            raise ValueError("matrix must be at least 1x1")
         if not np.isfinite(A).all():
             raise ValueError("matrix contains non-finite entries")
         self.A = A
@@ -62,9 +56,6 @@ class DenseOperator(LinearOperator):
         if symmetric is None:
             symmetric = bool(np.array_equal(A, A.T))
         self.symmetric = symmetric
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ self._check_dim(x)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.A @ X
@@ -87,11 +78,13 @@ class DenseOperator(LinearOperator):
 class SparseOperator(LinearOperator):
     """Symmetric sparse operator storing the lower triangle only.
 
-    matvec computes L x + L^T x - diag(L) * x so probes see the full
+    matmat computes L X + L^T X - diag(L) X so probes see the full
     matrix without ever materializing the upper triangle.
     """
 
     def __init__(self, lower: sp.csr_matrix, n: int):
+        if n < 1:
+            raise ValueError("matrix must be at least 1x1")
         lower = sp.csr_matrix(lower)
         if lower.shape != (n, n):
             raise ValueError("lower-triangle storage must be n-by-n")
@@ -116,10 +109,6 @@ class SparseOperator(LinearOperator):
     @property
     def nnz(self) -> int:
         return self.lower.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_dim(x)
-        return self.lower @ x + self._lower_T @ x - self._diag * x
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.lower @ X + self._lower_T @ X - self._diag[:, None] * X
@@ -147,9 +136,6 @@ class NormalizedOperator:
         self.lambda_u = float(lambda_u)
         self.n = inner.n
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.inner.matvec(x) / self.lambda_u
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.inner.matmat(X) / self.lambda_u
 
@@ -175,7 +161,7 @@ def normalize(op: LinearOperator) -> NormalizedOperator:
 def read_matrix_market(path) -> SparseOperator:
     """Read a coordinate real symmetric Matrix Market file.
 
-    Only the declared triangle is stored; matvec expands it. Raises
+    Only the declared triangle is stored; matmat expands it. Raises
     MatrixMarketError for malformed headers, non-symmetric declarations,
     non-square sizes, and out-of-range indices.
     """

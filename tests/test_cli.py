@@ -87,6 +87,14 @@ class TestEstimate:
     def test_bad_kernel_key_is_parse_error(self, capsys):
         assert main(["estimate", "--se-kernel", "n=10,q=3"]) == 3
 
+    def test_empty_identity_is_parse_error(self, capsys):
+        assert main(["estimate", "--identity", "0"]) == 3
+
+    def test_empty_mtx_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.mtx"
+        path.write_text(IDENTITY_HEADER + "0 0 0\n")
+        assert main(["estimate", "--mtx", str(path)]) == 3
+
 
 class TestMoments:
     def test_identity_power_moments(self, capsys):
@@ -109,6 +117,13 @@ class TestMoments:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0] == ["i", "value", "variance"]
         assert len(rows) == 4
+
+    def test_zero_matrix_is_numerical_error(self, tmp_path, capsys):
+        # no positive Gershgorin bound to normalize by, as for `estimate`
+        path = tmp_path / "zero.mtx"
+        path.write_text(IDENTITY_HEADER + "3 3 0\n")
+        assert main(["moments", "--mtx", str(path)]) == 4
+        assert main(["estimate", "--mtx", str(path)]) == 4
 
     def test_bad_basis_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

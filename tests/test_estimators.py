@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.interpolate
 
+from specdet import estimators
 from specdet.estimators import (EstimatorConfig, NotPositiveDefiniteError,
                                 condition_number_estimate, estimate_logdet,
                                 logdet_chebyshev, logdet_exact, logdet_lanczos,
                                 logdet_maxent, logdet_taylor)
-from specdet.linop import DenseOperator, LinearOperator, identity, normalize
+from specdet.linop import (DenseOperator, LinearOperator, NormalizedOperator,
+                           identity, normalize)
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             estimate_moments, probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
@@ -180,6 +182,41 @@ class TestLanczos:
         est = logdet_lanczos(op, EstimatorConfig(m=25, d=40, seed=7))
         exact = logdet_exact(op)
         assert est.value == pytest.approx(exact, rel=0.05)
+
+
+class TestBatchedLanczos:
+    """All probes of a block share one product per Lanczos step."""
+
+    @pytest.mark.parametrize("n,m,d,width", [(30, 5, 4, None), (30, 5, 7, 2),
+                                             (30, 5, 7, 1), (4, 10, 3, 2)])
+    def test_one_matmat_per_step_and_block(self, monkeypatch, n, m, d, width):
+        if width is not None:
+            # a basis budget that fits exactly `width` probes per block
+            monkeypatch.setattr(estimators, "_BASIS_BYTES", 8 * min(m, n) * n * width)
+        op = CountingOperator(random_spd(n, 3, lo=0.2))
+        logdet_lanczos(op, EstimatorConfig(m=m, d=d, seed=0))
+        blocks = 1 if width is None else math.ceil(d / width)
+        assert op.matmats == min(m, n) * blocks
+
+    def test_columns_break_down_at_their_krylov_dimension(self):
+        lam = np.array([0.1, 0.2, 0.35, 0.5, 0.7, 1.0])
+        Z = np.zeros((6, 3))
+        Z[2, 0] = 1.0                    # Krylov dimension 1
+        Z[[0, 4], 1] = [1.0, -2.0]       # 2
+        Z[[0, 1, 3, 5], 2] = [1.0, 0.5, -1.0, 2.0]  # 4
+        op = CountingOperator(DenseOperator(np.diag(lam)))
+        got = estimators._lanczos_log_quadrature(NormalizedOperator(op, 1.0), Z, 6)
+        want = (Z ** 2).T @ np.log(lam) / (Z ** 2).sum(axis=0)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert op.matmats == 4  # the loop ends once the last column stops
+
+    def test_per_probe_values_do_not_depend_on_block_width(self):
+        B = normalize(random_spd(60, 5, lo=0.01))
+        Z = probe_matrix(60, 6, seed=4)
+        block = estimators._lanczos_log_quadrature(B, Z, 12)
+        single = [estimators._lanczos_log_quadrature(B, Z[:, [j]], 12)[0]
+                  for j in range(6)]
+        assert np.allclose(block, single, rtol=1e-12, atol=0.0)
 
 
 class TestConditionNumber:

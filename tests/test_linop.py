@@ -15,21 +15,29 @@ def tridiag(n, diag=2.0, off=-1.0):
     return A
 
 
+def col(*values):
+    return np.array(values, dtype=float)[:, None]
+
+
 class TestMatvec:
+    """Matrix-vector products, applied as single-column blocks."""
+
     def test_identity(self):
-        assert np.array_equal(identity(3).matvec([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        assert np.array_equal(identity(3).matmat(col(1.0, 2.0, 3.0)), col(1.0, 2.0, 3.0))
 
     def test_diagonal(self):
         op = DenseOperator(np.diag([1.0, 2.0, 4.0]))
-        assert np.array_equal(op.matvec([1.0, 1.0, 1.0]), [1.0, 2.0, 4.0])
+        assert np.array_equal(op.matmat(col(1.0, 1.0, 1.0)), col(1.0, 2.0, 4.0))
 
     def test_tridiagonal_row(self):
         op = DenseOperator(tridiag(3))
-        assert np.array_equal(op.matvec([1.0, 0.0, 0.0]), [2.0, -1.0, 0.0])
+        assert np.array_equal(op.matmat(col(1.0, 0.0, 0.0)), col(2.0, -1.0, 0.0))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            identity(3).matvec([1.0, 2.0])
+        sparse = SparseOperator.from_coo([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], 3)
+        for op in (identity(3), sparse):
+            with pytest.raises(ValueError):
+                op.matmat(col(1.0, 2.0))
 
     def test_matmat_matches_matvec(self):
         rng = np.random.default_rng(0)
@@ -37,7 +45,7 @@ class TestMatvec:
         A = A + A.T
         op = DenseOperator(A)
         X = rng.standard_normal((6, 4))
-        cols = np.column_stack([op.matvec(X[:, j]) for j in range(4)])
+        cols = np.column_stack([A @ X[:, j] for j in range(4)])
         assert np.allclose(op.matmat(X), cols)
 
 
@@ -46,7 +54,7 @@ class TestSparseOperator:
         # full matrix [[2,-1],[-1,2]] from its lower triangle only
         op = SparseOperator.from_coo([0, 1, 1], [0, 0, 1], [2.0, -1.0, 2.0], 2)
         assert np.allclose(op.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
-        assert np.allclose(op.matvec([1.0, 0.0]), [2.0, -1.0])
+        assert np.allclose(op.matmat(col(1.0, 0.0)), col(2.0, -1.0))
 
     def test_upper_triplets_are_swapped(self):
         op = SparseOperator.from_coo([0, 0, 1], [0, 1, 1], [2.0, -1.0, 2.0], 2)
