@@ -9,8 +9,11 @@ is found by minimizing the convex dual
 
     S(alpha) = int q0 exp(-[1 + sum alpha_i f_i]) dx + sum alpha_i mu_i
 
-with a damped Newton method whose steps come from conjugate gradients on
-the jitter-regularized Hessian. All integrals use composite
+with a damped Newton method. Each step is a Cholesky solve with the
+Hessian plus diagonal jitter, the jitter growing tenfold while the
+factorization fails, and the exponential weights of each trial point of
+the line search are computed once and give the objective, the gradient
+and the Hessian there. All integrals use composite
 Gauss-Legendre panels refined geometrically toward 0, where log has its
 singularity and ill-conditioned spectra pile up mass.
 """
@@ -21,6 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.special import betaln
 
 from .probes import MomentBasis, SpectralMoments
@@ -109,6 +113,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.gtol <= 0:
             raise ValueError("gtol must be positive")
+        # a jitter of 0 never escalates, so a failing factorization would loop
+        if not (0.0 < self.jitter <= self.max_jitter):
+            raise ValueError("jitter must be positive and at most max_jitter")
         if self.nodes_per_panel < 2:
             raise ValueError("need at least 2 nodes per panel")
 
@@ -209,22 +216,31 @@ class DualProblem:
             )
         return np.exp(-a)
 
+    def weights(self, alpha: np.ndarray) -> np.ndarray:
+        """Quadrature weights of q at alpha: wq0 * exp(-(1 + F alpha))."""
+        return self.wq0 * self._expfactor(alpha)
+
+    def _objective(self, alpha: np.ndarray, we: np.ndarray) -> float:
+        return float(we.sum() + alpha @ self.mu + 0.5 * self.penalty @ (alpha * alpha))
+
+    def _gradient(self, alpha: np.ndarray, we: np.ndarray) -> np.ndarray:
+        return self.mu - self.F.T @ we + self.penalty * alpha
+
+    def _hessian(self, we: np.ndarray) -> np.ndarray:
+        return self.F.T @ (self.F * we[:, None]) + np.diag(self.penalty)
+
     def objective(self, alpha: np.ndarray) -> float:
-        return float(self.wq0 @ self._expfactor(alpha) + alpha @ self.mu
-                     + 0.5 * self.penalty @ (alpha * alpha))
+        return self._objective(alpha, self.weights(alpha))
 
     def gradient(self, alpha: np.ndarray) -> np.ndarray:
-        e = self._expfactor(alpha)
-        return self.mu - self.F.T @ (self.wq0 * e) + self.penalty * alpha
+        return self._gradient(alpha, self.weights(alpha))
 
     def hessian(self, alpha: np.ndarray) -> np.ndarray:
-        e = self._expfactor(alpha)
-        return self.F.T @ (self.F * (self.wq0 * e)[:, None]) + np.diag(self.penalty)
+        return self._hessian(self.weights(alpha))
 
     def fitted_moments(self, alpha: np.ndarray) -> np.ndarray:
         """int q f_j dx for every j at the current coefficients."""
-        e = self._expfactor(alpha)
-        return self.F.T @ (self.wq0 * e)
+        return self.F.T @ self.weights(alpha)
 
 
 def _moment_penalty(moments: SpectralMoments, config: SolverConfig) -> np.ndarray:
@@ -256,88 +272,73 @@ def dual_hessian(alpha, prior, basis, moments: SpectralMoments,
     return _problem(prior, basis, moments, config).hessian(np.asarray(alpha, float))
 
 
-def _cg(H: np.ndarray, b: np.ndarray, tol: float, max_iter: int):
-    """Conjugate gradients for H x = b; returns (x, hit_nonpositive_curvature)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = r @ r
-    bnorm = np.sqrt(rs)
-    if bnorm == 0.0:
-        return x, False
-    for _ in range(max_iter):
-        Hp = H @ p
-        curv = p @ Hp
-        if curv <= 0.0:
-            return x, True
-        a = rs / curv
-        x += a * p
-        r -= a * Hp
-        rs_new = r @ r
-        if np.sqrt(rs_new) <= tol * bnorm:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, False
+def _newton_step(H: np.ndarray, g: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Solve (H + eta I) s = -g by Cholesky, escalating eta tenfold on failure.
+
+    eta starts at config.jitter. A failed factorization, or a zero or
+    non-finite step, raises it; past config.max_jitter the solve gives up.
+    """
+    eye = np.eye(len(g))
+    eta = config.jitter
+    while True:
+        try:
+            factor = scipy.linalg.cho_factor(H + eta * eye, check_finite=False)
+            step = scipy.linalg.cho_solve(factor, -g, check_finite=False)
+            if np.isfinite(step).all() and np.any(step != 0.0):
+                return step
+        except np.linalg.LinAlgError:
+            pass
+        eta *= 10.0
+        if eta > config.max_jitter:
+            raise RuntimeError(
+                "regularized Hessian remained indefinite at maximum jitter"
+            )
 
 
 def solve(moments: SpectralMoments, prior: PriorSpec,
           config: SolverConfig | None = None) -> SolveResult:
-    """Newton-CG minimization of the dual, starting from alpha = 0.
+    """Damped Newton minimization of the dual, starting from alpha = 0.
 
-    The Hessian is symmetrized and regularized with escalating diagonal
-    jitter whenever CG encounters non-positive curvature; steps are damped
-    by Armijo backtracking.
+    Each Newton step is a Cholesky solve with the Hessian plus diagonal
+    jitter, escalated tenfold from config.jitter up to config.max_jitter
+    while the factorization fails or the step is zero or non-finite. Steps
+    are damped by Armijo backtracking; the exponential weights of the
+    accepted trial point give the next objective, gradient and Hessian.
     """
     config = config or SolverConfig()
     if abs(moments.values[0] - 1.0) > 1e-8:
         raise ValueError("mu_0 must equal 1 (normalized spectral measure)")
     problem = DualProblem(prior, moments.basis, moments.values, config,
                           penalty=_moment_penalty(moments, config))
-    dim = moments.basis.order + 1
-    alpha = np.zeros(dim)
-    S = problem.objective(alpha)
-    iterations = 0
-    converged = False
-    for iterations in range(1, config.max_iter + 1):
-        g = problem.gradient(alpha)
+    alpha = np.zeros(moments.basis.order + 1)
+    we = problem.weights(alpha)
+    S = problem._objective(alpha, we)
+    for iterations in range(config.max_iter + 1):
+        g = problem._gradient(alpha, we)
         gnorm = float(np.abs(g).max())
-        if gnorm < config.gtol:
-            converged = True
-            iterations -= 1
+        if gnorm < config.gtol or iterations == config.max_iter:
             break
-        H = problem.hessian(alpha)
-        H = 0.5 * (H + H.T)
-        eta = config.jitter
-        cg_tol = min(0.5, np.sqrt(gnorm))
-        while True:
-            step, bad_curv = _cg(H + eta * np.eye(dim), -g, cg_tol, 4 * dim)
-            if not bad_curv and np.any(step != 0.0):
-                break
-            eta *= 10.0
-            if eta > config.max_jitter:
-                raise RuntimeError(
-                    "regularized Hessian remained indefinite at maximum jitter"
-                )
-        t = 1.0
+        step = _newton_step(problem._hessian(we), g, config)
         slope = g @ step
-        while t > 1e-14:
+        t = 1.0
+        while True:
+            trial = alpha + t * step
             try:
-                S_new = problem.objective(alpha + t * step)
+                we_trial = problem.weights(trial)
             except OverflowError:
+                if t <= 1e-14:
+                    raise
                 t *= 0.5
                 continue
-            if S_new <= S + 1e-4 * t * slope:
+            S_trial = problem._objective(trial, we_trial)
+            # below t = 1e-14 the step is taken without the Armijo test
+            if t <= 1e-14 or S_trial <= S + 1e-4 * t * slope:
                 break
             t *= 0.5
-        alpha = alpha + t * step
-        S = problem.objective(alpha)
-    g = problem.gradient(alpha)
-    gnorm = float(np.abs(g).max())
-    converged = gnorm < config.gtol
+        alpha, we, S = trial, we_trial, S_trial
     density = SurrogateDensity(prior=prior, basis=moments.basis, alpha=alpha)
-    return SolveResult(density=density, iterations=iterations,
-                       grad_norm=gnorm, objective=S, converged=converged)
+    return SolveResult(density=density, iterations=iterations, grad_norm=gnorm,
+                       objective=S, converged=gnorm < config.gtol)
 
 
 def integrate_log_expectation(q: SurrogateDensity,

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 POWER = "power"
 CHEBYSHEV = "chebyshev"
@@ -47,23 +48,22 @@ class MomentBasis:
         """Evaluate f_0..f_m at the given points; shape (len(lam), m+1)."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         m = self.order
-        F = np.empty((lam.size, m + 1))
-        F[:, 0] = 1.0
-        if m == 0:
-            return F
-        if self.kind == POWER:
-            F[:, 1] = lam
+        # the recurrences run on contiguous rows of the transpose
+        F = np.empty((m + 1, lam.size))
+        F[0] = 1.0
+        if m > 0 and self.kind == POWER:
+            F[1] = lam
             for i in range(2, m + 1):
-                F[:, i] = F[:, i - 1] * lam
-        else:
+                F[i] = F[i - 1] * lam
+        elif m > 0:
             t = 2.0 * lam - 1.0
-            F[:, 1] = t
+            F[1] = t
             for i in range(1, m):
                 if self.kind == CHEBYSHEV:
-                    F[:, i + 1] = 2.0 * t * F[:, i] - F[:, i - 1]
+                    F[i + 1] = 2.0 * t * F[i] - F[i - 1]
                 else:
-                    F[:, i + 1] = ((2 * i + 1) * t * F[:, i] - i * F[:, i - 1]) / (i + 1)
-        return F
+                    F[i + 1] = ((2 * i + 1) * t * F[i] - i * F[i - 1]) / (i + 1)
+        return np.ascontiguousarray(F.T)
 
     def chebyshev_matrix(self) -> np.ndarray:
         """Exact change of basis L with f_i(x) = sum_k L[i, k] T_k(2x - 1).
@@ -88,8 +88,10 @@ class MomentBasis:
             return np.eye(m + 1)
         # recurrences in power coefficients of t = 2x - 1
         C[1, 0], C[1, 1] = -1.0, 2.0
+        shifted = np.zeros(m + 1)  # x * f_i in power coefficients
         for i in range(1, m):
-            tC = 2.0 * np.roll(C[i], 1) - C[i]  # (2x - 1) * f_i in power coefficients
+            shifted[1:] = C[i, :-1]
+            tC = 2.0 * shifted - C[i]  # (2x - 1) * f_i in power coefficients
             if self.kind == CHEBYSHEV:
                 C[i + 1] = 2.0 * tC - C[i - 1]
             else:
@@ -199,8 +201,10 @@ def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMomen
 def moments_to_power(moments: SpectralMoments) -> SpectralMoments:
     """Re-express moments in the power basis via the exact change of basis."""
     C = moments.basis.to_power_matrix()
-    # mu_i = sum_k C[i,k] p_k  =>  p = C^{-1} mu (C is triangular-like, solve directly)
-    p = np.linalg.solve(C, moments.values)
+    # mu_i = sum_k C[i,k] p_k with C lower triangular: forward substitution
+    # gives p_k from mu_0..mu_k alone, so the low moments stay exact however
+    # large the entries of the high rows grow (~6e17 at m = 30)
+    p = scipy.linalg.solve_triangular(C, moments.values, lower=True)
     return SpectralMoments(
         basis=MomentBasis(POWER, moments.basis.order),
         values=p,

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 import scipy.interpolate
 
-from specdet import estimators
+from specdet import estimators, maxent
 from specdet.estimators import (EstimatorConfig, NotPositiveDefiniteError,
                                 condition_number_estimate, estimate_logdet,
                                 logdet_chebyshev, logdet_exact, logdet_lanczos,
                                 logdet_maxent, logdet_taylor)
 from specdet.linop import (DenseOperator, LinearOperator, NormalizedOperator,
-                           identity, normalize)
+                           gershgorin_upper_bound, identity, normalize)
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
-                            estimate_moments, probe_matrix)
+                            SpectralMoments, estimate_moments, probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
 
 LN8 = np.log(8.0)
@@ -94,6 +94,28 @@ class TestMaxent:
         est = logdet_maxent(op, cfg)
         assert est.converged
         assert abs(est.value - exact) / abs(exact) < 0.5
+
+    def test_value_stable_under_round_off_in_moments(self):
+        # moments that differ by round-off must give the same estimate: the
+        # value is a function of the moments, not of the solve's path to it
+        op = se_kernel(KernelSpec(n=300, lengthscale=0.65, seed=1))
+        cfg = EstimatorConfig(m=30, d=20, seed=1)
+        lam_u = gershgorin_upper_bound(op)
+        mom = estimate_moments(NormalizedOperator(op, lam_u), MomentBasis(cfg.basis, cfg.m),
+                               cfg.d, cfg.seed)
+        signs = np.where(np.arange(cfg.m + 1) % 2, 1.0, -1.0)
+        signs[0] = 0.0
+        bumped = SpectralMoments(basis=mom.basis, values=mom.values * (1.0 + 4e-16 * signs),
+                                 probes=mom.probes, seed=mom.seed, variance=mom.variance)
+        assert not np.array_equal(bumped.values, mom.values)
+
+        def log_expectation(moments):
+            prior = estimators._choose_prior(cfg, moments)
+            result = maxent.solve(moments, prior, cfg.solver)
+            return maxent.integrate_log_expectation(result.density, cfg.solver)
+
+        a, b = (op.n * (log_expectation(x) + np.log(lam_u)) for x in (mom, bumped))
+        assert abs(b - a) <= 1e-10 * abs(a)
 
     def test_prior_choice_validation(self):
         with pytest.raises(ValueError, match="unknown prior"):

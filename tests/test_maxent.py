@@ -1,4 +1,4 @@
-"""Priors, the convex dual, the Newton-CG solver, and log integration."""
+"""Priors, the convex dual, the Newton solver, and log integration."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,9 @@ from scipy.special import digamma
 
 from specdet.maxent import (BetaPrior, DegenerateSpectrumError, DualProblem,
                             SolverConfig, SurrogateDensity, UniformPrior,
-                            dual_gradient, dual_hessian, dual_objective,
-                            fit_beta_prior, integrate_log_expectation,
-                            quadrature_grid, solve)
+                            _newton_step, dual_gradient, dual_hessian,
+                            dual_objective, fit_beta_prior,
+                            integrate_log_expectation, quadrature_grid, solve)
 from specdet.probes import CHEBYSHEV, POWER, MomentBasis, SpectralMoments
 
 INV_E = np.exp(-1.0)
@@ -211,6 +211,20 @@ class TestSolve:
         result = solve(mom, UniformPrior(), SolverConfig())
         assert integrate_log_expectation(result.density) >= -0.05
 
+    @pytest.mark.parametrize("m", [10, 20, 30])
+    def test_hilbert_hessian_in_power_basis(self, m):
+        # exact uniform power moments: the Hessian at alpha = 0 is e^-1 times
+        # the Hilbert matrix (condition ~5e14 at m = 10, numerically singular
+        # from m ~ 12), so the Newton steps rest on the jittered Cholesky solve
+        basis = MomentBasis(POWER, m)
+        mom = exact_moments(basis, uniform_moments(basis))
+        result = solve(mom, UniformPrior(), SolverConfig())
+        alpha = result.density.alpha
+        assert result.converged
+        assert np.isfinite(alpha).all()
+        assert alpha[0] == pytest.approx(-1.0, abs=1e-6)
+        assert np.abs(alpha[1:]).max() <= 1e-3
+
     def test_unnormalized_moments_rejected(self):
         basis = MomentBasis(POWER, 2)
         mom = exact_moments(basis, np.array([0.5, 0.3, 0.2]))
@@ -220,6 +234,25 @@ class TestSolve:
     def test_gtol_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(gtol=0.0)
+
+    @pytest.mark.parametrize("jitter, max_jitter", [(0.0, 1e-2), (-1e-8, 1e-2), (1e-1, 1e-2)])
+    def test_jitter_validation(self, jitter, max_jitter):
+        # eta = 0 stays 0 under escalation: a failing factorization looped forever
+        with pytest.raises(ValueError, match="jitter"):
+            SolverConfig(jitter=jitter, max_jitter=max_jitter)
+
+
+class TestNewtonStep:
+    def test_jitter_escalates_until_factorization_succeeds(self):
+        # -1e-6 curvature defeats eta = 1e-8, 1e-7 and 1e-6 (a zero pivot)
+        H = np.diag([1.0, -1e-6])
+        g = np.array([1.0, 1.0])
+        step = _newton_step(H, g, SolverConfig())
+        assert step == pytest.approx(-g / (np.diag(H) + 1e-5), rel=1e-9)
+
+    def test_indefinite_past_max_jitter_raises(self):
+        with pytest.raises(RuntimeError, match="maximum jitter"):
+            _newton_step(np.diag([1.0, -1.0]), np.ones(2), SolverConfig())
 
 
 class TestIntegrateLogExpectation:

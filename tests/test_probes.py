@@ -12,6 +12,47 @@ from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             rademacher_probe)
 
 
+def column_vandermonde(basis, lam):
+    """Reference: the recurrences written column by column on (N, m+1)."""
+    m = basis.order
+    F = np.empty((lam.size, m + 1))
+    F[:, 0] = 1.0
+    if m == 0:
+        return F
+    if basis.kind == POWER:
+        F[:, 1] = lam
+        for i in range(2, m + 1):
+            F[:, i] = F[:, i - 1] * lam
+        return F
+    t = 2.0 * lam - 1.0
+    F[:, 1] = t
+    for i in range(1, m):
+        if basis.kind == CHEBYSHEV:
+            F[:, i + 1] = 2.0 * t * F[:, i] - F[:, i - 1]
+        else:
+            F[:, i + 1] = ((2 * i + 1) * t * F[:, i] - i * F[:, i - 1]) / (i + 1)
+    return F
+
+
+def rolled_power_matrix(basis):
+    """Reference: multiplication by x as np.roll of the coefficient row."""
+    m = basis.order
+    if basis.kind == POWER:
+        return np.eye(m + 1)
+    C = np.zeros((m + 1, m + 1))
+    C[0, 0] = 1.0
+    if m == 0:
+        return C
+    C[1, 0], C[1, 1] = -1.0, 2.0
+    for i in range(1, m):
+        tC = 2.0 * np.roll(C[i], 1) - C[i]
+        if basis.kind == CHEBYSHEV:
+            C[i + 1] = 2.0 * tC - C[i - 1]
+        else:
+            C[i + 1] = ((2 * i + 1) * tC - i * C[i - 1]) / (i + 1)
+    return C
+
+
 class TestRademacher:
     def test_support(self):
         z = rademacher_probe(4, probe_rng(0, 0))
@@ -65,6 +106,16 @@ class TestMomentBasis:
             C = basis.to_power_matrix()
             P = np.vander(lam, 9, increasing=True)
             assert np.allclose(P @ C.T, basis.vandermonde(lam), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", [POWER, CHEBYSHEV, LEGENDRE])
+    def test_bit_identical_to_reference_constructions(self, kind):
+        lam = np.linspace(0.0, 1.0, 961)
+        for m in (0, 1, 2, 7, 30):
+            basis = MomentBasis(kind, m)
+            F = basis.vandermonde(lam)
+            assert F.flags.c_contiguous
+            assert np.array_equal(F, column_vandermonde(basis, lam))
+            assert np.array_equal(basis.to_power_matrix(), rolled_power_matrix(basis))
 
     def test_chebyshev_matrix_consistency(self):
         lam = np.linspace(0.0, 1.0, 17)
@@ -146,6 +197,17 @@ class TestMomentsToPower:
         p = moments_to_power(cheb)
         assert p.basis.kind == POWER
         assert np.allclose(p.values, [np.mean(lam**k) for k in range(5)], atol=1e-10)
+
+    @pytest.mark.parametrize("kind", [CHEBYSHEV, LEGENDRE])
+    def test_low_power_moments_exact_at_high_order(self, kind):
+        # the Beta prior is fit from p_1, p_2; at m = 30 the change of basis
+        # has entries near 6e17, which a pivoting solve mixes into them
+        lam = np.linspace(0.05, 1.0, 40)
+        B = normalize(DenseOperator(np.diag(lam)))
+        mom = estimate_moments(B, MomentBasis(kind, 30), d=3, seed=0)
+        p = moments_to_power(mom).values
+        assert p[1] == pytest.approx(np.mean(lam), rel=1e-12)
+        assert p[2] == pytest.approx(np.mean(lam**2), rel=1e-12)
 
     def test_power_basis_is_identity(self):
         B = normalize(identity(4))
