@@ -91,6 +91,7 @@ def _load_operator(args) -> tuple:
 
 
 def _estimator_config(args, min_eig_hint: float | None = None) -> EstimatorConfig:
+    """The estimator flags as a config; ValueError names an out-of-range one."""
     solver = SolverConfig(gtol=args.gtol, jitter=args.jitter)
     min_eig = args.min_eig if args.min_eig is not None else min_eig_hint
     return EstimatorConfig(m=args.moments, d=args.probes, seed=args.seed,
@@ -98,13 +99,14 @@ def _estimator_config(args, min_eig_hint: float | None = None) -> EstimatorConfi
                            min_eigenvalue=min_eig)
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mtx", metavar="PATH", help="coordinate symmetric Matrix Market file")
-    p.add_argument("--se-kernel", metavar="KEY=VAL[,KEY=VAL...]",
-                   help="synthetic SE kernel, keys: n,dim,l,noise,scale,seed")
-    p.add_argument("--identity", type=int, metavar="N", help="identity matrix of size N")
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _add_estimator_flags(p: argparse.ArgumentParser, probes: int):
     p.add_argument("-m", "--moments", type=int, default=30)
-    p.add_argument("-d", "--probes", type=int, default=30)
+    p.add_argument("-d", "--probes", type=int, default=probes)
     p.add_argument("--basis", choices=("power", "chebyshev", "legendre"),
                    default="chebyshev")
     p.add_argument("--prior", choices=("uniform", "beta", "auto"), default="auto")
@@ -114,6 +116,14 @@ def _add_common_flags(p: argparse.ArgumentParser):
     p.add_argument("--min-eig", type=float, default=None, metavar="LAMBDA",
                    help="known lower bound on the spectrum (defaults to the "
                         "diagonal noise for synthetic kernels)")
+
+
+def _add_common_flags(p: argparse.ArgumentParser):
+    p.add_argument("--mtx", metavar="PATH", help="coordinate symmetric Matrix Market file")
+    p.add_argument("--se-kernel", metavar="KEY=VAL[,KEY=VAL...]",
+                   help="synthetic SE kernel, keys: n,dim,l,noise,scale,seed")
+    p.add_argument("--identity", type=int, metavar="N", help="identity matrix of size N")
+    _add_estimator_flags(p, probes=30)
 
 
 def _rel_error(est: float, exact: float) -> float:
@@ -128,7 +138,10 @@ def cmd_logdet(args) -> int:
     except (MatrixMarketError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _estimator_config(args, min_eig)
+    try:
+        cfg = _estimator_config(args, min_eig)
+    except ValueError as exc:
+        return _usage_error(exc)
     try:
         est = estimate_logdet(op, args.method, cfg)
     except _NUMERICAL_ERRORS as exc:
@@ -201,12 +214,14 @@ def _bench_case(op, dataset, lengthscale, min_eig, method, args) -> BenchRecord:
 def cmd_bench(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
-        print("error: empty methods list", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("empty methods list")
     for m in methods:
         if m not in METHODS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error(f"unknown method {m!r}")
+    try:
+        _estimator_config(args)  # out-of-range flags fail before any case is built
+    except ValueError as exc:
+        return _usage_error(exc)
 
     cases = []
     if args.lengthscales:
@@ -222,8 +237,7 @@ def cmd_bench(args) -> int:
             print(f"error reading {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
     if not cases:
-        print("error: no benchmark cases (need --lengthscales or files)", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error("no benchmark cases (need --lengthscales or files)")
 
     records = [
         _bench_case(op, dataset, l, min_eig, method, args)
@@ -269,17 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dim", type=int, default=6)
     p_bench.add_argument("--input-scale", type=float, default=0.21)
     p_bench.add_argument("--methods", default="maxent,chebyshev,lanczos")
-    p_bench.add_argument("-m", "--moments", type=int, default=30)
-    p_bench.add_argument("-d", "--probes", type=int, default=50)
-    p_bench.add_argument("--basis", choices=("power", "chebyshev", "legendre"),
-                         default="chebyshev")
-    p_bench.add_argument("--prior", choices=("uniform", "beta", "auto"), default="auto")
-    p_bench.add_argument("--gtol", type=float, default=1e-6)
-    p_bench.add_argument("--jitter", type=float, default=1e-8)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--min-eig", type=float, default=None, metavar="LAMBDA",
-                         help="known lower bound on the spectrum (defaults to "
-                              "the diagonal noise for synthetic kernels)")
+    _add_estimator_flags(p_bench, probes=50)
     p_bench.add_argument("--kappa", action="store_true",
                          help="estimate condition numbers (slow)")
     p_bench.add_argument("--exact-guard", type=int, default=5000,

@@ -11,6 +11,7 @@ values for verification on matrices that fit in O(n^3).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -21,8 +22,8 @@ from . import maxent
 from .linop import LinearOperator, NormalizedOperator, gershgorin_upper_bound
 from .maxent import (BetaPrior, DegenerateSpectrumError, SolverConfig,
                      UniformPrior, fit_beta_prior)
-from .probes import (CHEBYSHEV, POWER, MomentBasis, estimate_moments,
-                     moments_to_power, probe_matrix)
+from .probes import (CHEBYSHEV, MomentBasis, estimate_moments, moments_to_power,
+                     probe_matrix)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -114,74 +115,75 @@ def logdet_maxent(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Log
     )
 
 
-class _ComplementOperator:
-    """Applies I - B for a normalized operator B."""
+def _chebyshev_series_logdet(op: LinearOperator, cfg: EstimatorConfig, method: str,
+                             c: np.ndarray) -> LogDetEstimate:
+    """n log lambda_u + n sum_k c_k (mu_k - 1) on the Chebyshev moments of B.
 
-    def __init__(self, B: NormalizedOperator):
-        self.B = B
-        self.n = B.n
+    sum_k c_k T_k(2x - 1) approximates log x and vanishes at x = 1, so
+    subtracting 1 from every moment changes nothing in exact arithmetic
+    and makes a spectrum sitting at 1 (the identity) give exactly 0.
+    """
+    t0 = time.perf_counter()
+    lam_u = gershgorin_upper_bound(op)
+    B = NormalizedOperator(op, lam_u)
+    mu = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed).values
+    value = float(op.n * np.log(lam_u) + op.n * (c @ (mu - 1.0)))
+    return LogDetEstimate(
+        value=value, method=method, lambda_u=lam_u,
+        m=cfg.m, d=cfg.d, seed=cfg.seed,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+    )
 
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        return X - self.B.matmat(X)
+
+@functools.cache
+def _taylor_log_coefficients(m: int) -> np.ndarray:
+    """Read-only c with sum_k c_k T_k(2x - 1) = -sum_{k<=m} (1 - x)^k / k.
+
+    The truncated series has degree m, so interpolating it at m+1
+    Chebyshev points is exact.
+    """
+    # 1 - x = (1 - t) / 2 in the Chebyshev variable t = 2x - 1
+    c = np.polynomial.chebyshev.chebinterpolate(
+        lambda t: -sum((0.5 - 0.5 * t) ** k / k for k in range(1, m + 1)), m)
+    c.flags.writeable = False
+    return c
 
 
 def logdet_taylor(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
-    """Truncated log(1 - x) series on moments of I - B.
+    """Degree-m truncation of log x = -sum_k (1 - x)^k / k applied to B.
 
     The discarded tail is negative, so the estimate upper-bounds the true
     log determinant; the implied surrogate density is not a probability
     density, which is why this is a baseline rather than a recommendation.
     """
     cfg = cfg or EstimatorConfig()
-    t0 = time.perf_counter()
-    lam_u = gershgorin_upper_bound(op)
-    B = NormalizedOperator(op, lam_u)
-    comp = _ComplementOperator(B)
-    moments = estimate_moments(comp, MomentBasis(POWER, cfg.m), cfg.d, cfg.seed)
-    ks = np.arange(1, cfg.m + 1)
-    value = op.n * np.log(lam_u) - op.n * float(np.sum(moments.values[1:] / ks))
-    return LogDetEstimate(
-        value=value, method="taylor", lambda_u=lam_u,
-        m=cfg.m, d=cfg.d, seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _chebyshev_series_logdet(op, cfg, "taylor", _taylor_log_coefficients(cfg.m))
 
 
+@functools.cache
 def _chebyshev_log_coefficients(m: int, a: float) -> np.ndarray:
-    """Coefficients c with sum_k c_k T_k(2x - 1) interpolating log on [a, 1].
+    """Read-only c with sum_k c_k T_k(2x - 1) interpolating log on [a, 1].
 
-    The interpolation nodes are a right-endpoint Radau grid mapped to
-    [a, 1]. It contains x = 1, so a spectrum sitting exactly at 1 (identity
-    matrix) is reproduced with zero interpolation error; below a the
-    interpolant extrapolates freely, which is this baseline's documented
-    failure mode on ill-conditioned matrices.
+    The nodes are a right-endpoint Radau grid mapped to [a, 1]. It contains
+    x = 1, so the interpolant vanishes there, as log does.
     """
     k = np.arange(m + 1)
     x = np.cos(2.0 * np.pi * k / (2 * m + 1))
     lam = 0.5 * (x + 1.0) * (1.0 - a) + a
-    return np.polynomial.chebyshev.chebfit(2.0 * lam - 1.0, np.log(lam), m)
+    c = np.polynomial.chebyshev.chebfit(2.0 * lam - 1.0, np.log(lam), m)
+    c.flags.writeable = False
+    return c
 
 
 def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
     """Degree-m Chebyshev interpolation of log on [a, 1] applied to B.
 
-    The interpolant is a fixed combination of the shifted Chebyshev
-    moments of B. a = cfg.cheb_floor; eigenvalues below a are
-    extrapolated, which is the documented weakness of this baseline on
-    ill-conditioned matrices.
+    a = cfg.cheb_floor; eigenvalues below a are extrapolated, which is the
+    documented weakness of this baseline on ill-conditioned matrices.
     """
     cfg = cfg or EstimatorConfig()
-    t0 = time.perf_counter()
-    lam_u = gershgorin_upper_bound(op)
-    B = NormalizedOperator(op, lam_u)
-    moments = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed)
-    c = _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor)
-    value = float(op.n * (c @ moments.values) + op.n * np.log(lam_u))
-    return LogDetEstimate(
-        value=value, method="chebyshev", lambda_u=lam_u,
-        m=cfg.m, d=cfg.d, seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _chebyshev_series_logdet(op, cfg, "chebyshev",
+                                    _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor))
 
 
 # Largest Lanczos basis one block of probes may hold; a single probe's basis

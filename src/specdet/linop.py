@@ -3,8 +3,9 @@
 Everything downstream only needs block products `matmat` (the operator
 applied to every column of an n-by-k array at once), the dimension, and a
 cheap upper bound on the largest eigenvalue, so operators expose exactly
-that. Sparse symmetric matrices keep one triangle in memory and expand it
-logically inside matmat.
+that. A sparse symmetric matrix is given as one triangle; its operator keeps
+that triangle plus one CSR matrix holding both, so a product is a single
+sparse-times-dense call.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ class DenseOperator(LinearOperator):
 
 
 class SparseOperator(LinearOperator):
-    """Symmetric sparse operator storing the lower triangle only.
+    """Symmetric sparse operator built from its lower triangle.
 
-    matmat computes L X + L^T X - diag(L) X so probes see the full
-    matrix without ever materializing the upper triangle.
+    `lower` keeps the triangle as given, for writing it back out; products,
+    the dense copy and the row sums use one CSR matrix holding the whole
+    matrix, lower + lower^T - diag(lower).
     """
 
     def __init__(self, lower: sp.csr_matrix, n: int):
@@ -89,8 +91,7 @@ class SparseOperator(LinearOperator):
         if lower.shape != (n, n):
             raise ValueError("lower-triangle storage must be n-by-n")
         self.lower = lower
-        self._lower_T = sp.csr_matrix(lower.T)
-        self._diag = lower.diagonal()
+        self._full = sp.csr_matrix(lower + lower.T - sp.diags(lower.diagonal()))
         self.n = n
         self.symmetric = True
 
@@ -106,24 +107,17 @@ class SparseOperator(LinearOperator):
         lower = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
         return cls(lower, n)
 
-    @property
-    def nnz(self) -> int:
-        return self.lower.nnz
-
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        return self.lower @ X + self._lower_T @ X - self._diag[:, None] * X
+        return self._full @ X
 
     def to_dense(self) -> np.ndarray:
-        full = self.lower.toarray()
-        return full + full.T - np.diag(self._diag)
+        return self._full.toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self._diag.copy()
+        return self.lower.diagonal()
 
     def abs_row_sums(self) -> np.ndarray:
-        a = np.abs(self.lower)
-        return np.asarray(a.sum(axis=1)).ravel() \
-            + np.asarray(a.sum(axis=0)).ravel() - np.abs(self._diag)
+        return np.asarray(abs(self._full).sum(axis=1)).ravel()
 
 
 class NormalizedOperator:
@@ -161,7 +155,8 @@ def normalize(op: LinearOperator) -> NormalizedOperator:
 def read_matrix_market(path) -> SparseOperator:
     """Read a coordinate real symmetric Matrix Market file.
 
-    Only the declared triangle is stored; matmat expands it. Raises
+    Entries of either triangle are folded into the lower one, which the
+    operator keeps next to the full matrix it multiplies with. Raises
     MatrixMarketError for malformed headers, non-symmetric declarations,
     non-square sizes, and out-of-range indices.
     """

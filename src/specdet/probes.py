@@ -4,17 +4,17 @@ Moments mu_i = (1/n) Tr f_i(B) are estimated with Rademacher probes
 (Hutchinson's method). Three bases are supported on [0, 1]: raw powers,
 shifted Chebyshev T_i(2x-1), and shifted Legendre P_i(2x-1).
 
-The probe block Z is advanced through the lower half of the basis only,
-V_k = f_k(B) Z for k <= ceil(m/2), one block product per step; for
-symmetric B the upper half follows from column inner products,
+One recurrence serves every basis. The probe block Z is advanced through
+the lower half of the shifted Chebyshev basis only, V_k = T_k(2B - I) Z
+for k <= ceil(m/2), one block product per step; for symmetric B the upper
+half follows from column inner products (T_k short for T_k(2B - I)),
 
-    z.B^2k z = |B^k z|^2,                z.B^(2k+1) z = (B^k z).(B^(k+1) z),
     z.T_2k z = 2 |T_k z|^2 - z.z,        z.T_2k+1 z = 2 (T_k z).(T_k+1 z) - z.T_1 z,
 
 so m moments cost ceil(m/2) block products (the doubling trick of the
 kernel polynomial method; Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
-Phys. 78, 2006). Legendre moments are an exact linear map of the
-Chebyshev ones.
+Phys. 78, 2006). Power and Legendre moments are an exact linear map of
+the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
 """
 
 from __future__ import annotations
@@ -152,40 +152,36 @@ def _moment_samples(op, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
 
     Makes ceil(m/2) calls to op.matmat; see the module docstring.
     """
-    if basis.kind == LEGENDRE:
-        cheb = _moment_samples(op, MomentBasis(CHEBYSHEV, basis.order), Z)
-        return cheb @ basis.chebyshev_matrix().T
     n, d = Z.shape
     m = basis.order
-    power = basis.kind == POWER
-    # s_2k = a V_k.V_k - b s_0 and s_2k+1 = a V_k.V_k+1 - b s_1
-    a, b = (1.0, 0.0) if power else (2.0, 1.0)
     samples = np.empty((d, m + 1))
     samples[:, 0] = _col_dot(Z, Z) / n
     prev, cur = None, Z
     for k in range(1, (m + 1) // 2 + 1):
-        if power:
-            nxt = op.matmat(cur)
-        else:
-            # recurrence in t = 2B - I applied to the probe block
-            tcur = 2.0 * op.matmat(cur) - cur
-            nxt = tcur if k == 1 else 2.0 * tcur - prev
+        # recurrence in t = 2B - I applied to the probe block
+        tcur = 2.0 * op.matmat(cur) - cur
+        nxt = tcur if k == 1 else 2.0 * tcur - prev
         if k == 1:
             samples[:, 1] = _col_dot(Z, nxt) / n
         else:
-            samples[:, 2 * k - 1] = a * _col_dot(cur, nxt) / n - b * samples[:, 1]
+            samples[:, 2 * k - 1] = 2.0 * _col_dot(cur, nxt) / n - samples[:, 1]
         if 2 * k <= m:
-            samples[:, 2 * k] = a * _col_dot(nxt, nxt) / n - b * samples[:, 0]
+            samples[:, 2 * k] = 2.0 * _col_dot(nxt, nxt) / n - samples[:, 0]
         prev, cur = cur, nxt
-    return samples
+    if basis.kind == CHEBYSHEV:
+        return samples
+    # every f_i and T_k is 1 at x = 1, so each row of L sums to 1 and the
+    # map can act on deviations from 1: a spectrum at 1 gives exactly 1
+    return 1.0 + (samples - 1.0) @ basis.chebyshev_matrix().T
 
 
 def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMoments:
     """Monte Carlo moment estimates over d probes, deterministic in seed.
 
     `op` is typically a NormalizedOperator; any symmetric operator with .n
-    and .matmat works (the doubling identities need symmetry). Probes are reduced in index order, so results are bit-identical
-    for identical arguments.
+    and .matmat works (the doubling identities need symmetry). Probes are
+    reduced in index order, so results are bit-identical for identical
+    arguments.
     """
     if d < 1:
         raise ValueError("probe count d must be >= 1")

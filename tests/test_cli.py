@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from specdet import cli
 from specdet.cli import main
 from specdet.estimators import logdet_exact
 from specdet.linop import DenseOperator, write_matrix_market
@@ -87,6 +88,14 @@ class TestEstimate:
     def test_bad_kernel_key_is_parse_error(self, capsys):
         assert main(["estimate", "--se-kernel", "n=10,q=3"]) == 3
 
+    @pytest.mark.parametrize("flag", [("--gtol", "0"), ("--jitter", "0"),
+                                      ("-m", "0"), ("-d", "0")],
+                             ids=["gtol", "jitter", "m", "d"])
+    def test_out_of_range_estimator_flag_is_usage_error(self, flag, capsys):
+        assert main(["estimate", "--identity", "20", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_empty_identity_is_parse_error(self, capsys):
         assert main(["estimate", "--identity", "0"]) == 3
 
@@ -142,6 +151,16 @@ class TestBench:
 
     def test_no_cases_is_usage_error(self, capsys):
         assert main(["bench"]) == 2
+
+    def test_out_of_range_flag_is_usage_error_before_any_case(self, monkeypatch, capsys):
+        def no_case(*args):
+            raise AssertionError("a case was built")
+
+        monkeypatch.setattr(cli, "se_kernel", no_case)
+        assert main(["bench", "--lengthscales", "0.5", "-d", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_sweep_shape(self, tmp_path, capsys):
         # 9 lengthscales x 3 methods mirrors the dense benchmark table

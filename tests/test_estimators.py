@@ -137,6 +137,19 @@ class TestTaylor:
         assert est.value == pytest.approx(hand, abs=1e-12)
         assert est.value >= LN8  # discarded tail is negative
 
+    def test_matches_truncated_series_of_dense_matrix(self):
+        # n log lambda_u - mean_j z_j.(sum_{k<=m} (I - B)^k / k)z_j through eigh
+        op = random_spd(40, 4, lo=0.02)
+        m = 10
+        est = logdet_taylor(op, EstimatorConfig(m=m, d=7, seed=5))
+        lam_u = np.abs(op.A).sum(axis=1).max()
+        lam, V = np.linalg.eigh(op.A / lam_u)
+        series = sum((1.0 - lam) ** k / k for k in range(1, m + 1))
+        sB = V @ np.diag(series) @ V.T
+        Z = probe_matrix(40, 7, seed=5)
+        expected = 40 * np.log(lam_u) - np.mean(np.einsum("ij,ij->j", Z, sB @ Z))
+        assert est.value == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
     def test_upper_bounds_exact_on_random_spd(self):
         for seed in range(20):
             op = random_spd(60, seed)
@@ -148,6 +161,11 @@ class TestChebyshev:
     def test_identity_within_interpolation_error(self):
         est = logdet_chebyshev(identity(40), EstimatorConfig(m=12, d=6, seed=0))
         assert abs(est.value) <= 1e-10
+
+    def test_identity_exact_zero(self):
+        # the interpolant vanishes at 1 and is applied to mu - 1, which is 0
+        est = logdet_chebyshev(identity(40), EstimatorConfig(m=12, d=6, seed=0))
+        assert est.value == 0.0
 
     def test_diagonal_inside_interval(self):
         cfg = EstimatorConfig(m=20, d=8, seed=1, cheb_floor=0.2)
