@@ -161,14 +161,19 @@ def cmd_logdet(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    if args.probes < 1:
+        return _usage_error("probe count d must be >= 1")
+    try:
+        basis = MomentBasis(args.basis, args.moments)
+    except ValueError as exc:
+        return _usage_error(exc)
     try:
         op, dataset, _, _ = _load_operator(args)
     except (MatrixMarketError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        moments = estimate_moments(normalize(op), MomentBasis(args.basis, args.moments),
-                                   args.probes, args.seed)
+        moments = estimate_moments(normalize(op), basis, args.probes, args.seed)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -186,8 +186,10 @@ def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> 
                                     _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor))
 
 
-# Largest Lanczos basis one block of probes may hold; a single probe's basis
-# is allowed to exceed it, which is what one probe at a time needs anyway.
+# Lanczos basis bytes one block of probes may always hold. A block may hold
+# as many as the operator stores when that is more, so SLQ needs at most
+# about twice the operator's memory; a single probe's basis may exceed both,
+# which is what one probe at a time needs anyway.
 _BASIS_BYTES = 8 << 20
 
 
@@ -239,15 +241,16 @@ def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Lo
     """Stochastic Lanczos quadrature of log over the normalized spectrum.
 
     The probes run in ceil(d / w) balanced blocks of at most w columns,
-    with w chosen from (n, m) alone so no block's basis exceeds
-    `_BASIS_BYTES` unless a single probe's does.
+    with w chosen so no block's basis exceeds the larger of `_BASIS_BYTES`
+    and the operator's own storage (`op.nbytes`) unless a single probe's
+    basis does.
     """
     cfg = cfg or EstimatorConfig()
     t0 = time.perf_counter()
     lam_u = gershgorin_upper_bound(op)
     B = NormalizedOperator(op, lam_u)
     m = min(cfg.m, op.n)
-    width = max(1, _BASIS_BYTES // (8 * m * op.n))
+    width = max(1, max(_BASIS_BYTES, op.nbytes) // (8 * m * op.n))
     Z = probe_matrix(op.n, cfg.d, cfg.seed)
     per_probe = np.concatenate([
         _lanczos_log_quadrature(B, block, m)

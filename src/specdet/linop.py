@@ -3,8 +3,10 @@
 Everything downstream only needs block products `matmat` (the operator
 applied to every column of an n-by-k array at once), the dimension, and a
 cheap upper bound on the largest eigenvalue, so operators expose exactly
-that. A sparse symmetric matrix is given as one triangle; its operator keeps
-that triangle plus one CSR matrix holding both, so a product is a single
+that. Operators also report the bytes of the matrix they store (`nbytes`),
+which sizes the working memory an estimator may spend next to them. A
+sparse symmetric matrix is given as one triangle; its operator keeps that
+triangle plus one CSR matrix holding both, so a product is a single
 sparse-times-dense call.
 """
 
@@ -30,6 +32,11 @@ class LinearOperator:
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Apply to each column of X at once."""
         raise NotImplementedError
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored matrix; 0 when the storage is unknown."""
+        return 0
 
     def to_dense(self) -> np.ndarray:
         raise NotImplementedError
@@ -60,6 +67,10 @@ class DenseOperator(LinearOperator):
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.A @ X
+
+    @property
+    def nbytes(self) -> int:
+        return self.A.nbytes
 
     def to_dense(self) -> np.ndarray:
         return self.A.copy()
@@ -109,6 +120,11 @@ class SparseOperator(LinearOperator):
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self._full @ X
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for M in (self.lower, self._full)
+                   for a in (M.data, M.indices, M.indptr))
 
     def to_dense(self) -> np.ndarray:
         return self._full.toarray()

@@ -139,6 +139,19 @@ class TestMoments:
             main(["moments", "--identity", "3", "--basis", "fourier"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [("-d", "0"), ("-d", "-3"), ("-m", "-1")],
+                             ids=["d=0", "d=-3", "m=-1"])
+    def test_out_of_range_flag_is_usage_error_before_loading(self, flag, monkeypatch,
+                                                             capsys):
+        def no_load(args):
+            raise AssertionError("the operator was loaded")
+
+        monkeypatch.setattr(cli, "_load_operator", no_load)
+        assert main(["moments", "--identity", "5", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestBench:
     def test_empty_methods_is_usage_error(self, capsys):

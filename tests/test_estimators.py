@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.interpolate
+import scipy.sparse as sp
 
 from specdet import estimators, maxent
 from specdet.estimators import (EstimatorConfig, NotPositiveDefiniteError,
@@ -12,7 +13,8 @@ from specdet.estimators import (EstimatorConfig, NotPositiveDefiniteError,
                                 logdet_chebyshev, logdet_exact, logdet_lanczos,
                                 logdet_maxent, logdet_taylor)
 from specdet.linop import (DenseOperator, LinearOperator, NormalizedOperator,
-                           gershgorin_upper_bound, identity, normalize)
+                           SparseOperator, gershgorin_upper_bound, identity,
+                           normalize)
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             SpectralMoments, estimate_moments, probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
@@ -257,6 +259,53 @@ class TestBatchedLanczos:
         single = [estimators._lanczos_log_quadrature(B, Z[:, [j]], 12)[0]
                   for j in range(6)]
         assert np.allclose(block, single, rtol=1e-12, atol=0.0)
+
+
+class TestLanczosBlockWidth:
+    """A block's basis may hold as many bytes as the operator stores."""
+
+    @staticmethod
+    def block_widths(monkeypatch):
+        widths = []
+
+        def record(B, Z, m):
+            widths.append(Z.shape[1])
+            return np.zeros(Z.shape[1])
+
+        monkeypatch.setattr(estimators, "_lanczos_log_quadrature", record)
+        return widths
+
+    def test_dense_operator_sets_the_width(self, monkeypatch):
+        # a 9.7 MB matrix, past the 8 MiB floor
+        n, m, d = 1100, 30, 72
+        op = DenseOperator(np.diag(np.linspace(1.0, 2.0, n)))
+        width = op.nbytes // (8 * m * n)
+        assert width == 36 > estimators._BASIS_BYTES // (8 * m * n)
+        widths = self.block_widths(monkeypatch)
+        logdet_lanczos(op, EstimatorConfig(m=m, d=d, seed=0))
+        assert widths == [width, width]
+
+    def test_sparse_operator_at_benchmark_shape_keeps_width_one(self, monkeypatch):
+        # 5-point Laplacian on a 150 x 150 grid, n = 22,500
+        g = 150
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
+        L = sp.kron(sp.identity(g), T) + sp.kron(T, sp.identity(g))
+        op = SparseOperator(sp.tril(L), g * g)
+        assert 0 < op.nbytes < estimators._BASIS_BYTES
+        widths = self.block_widths(monkeypatch)
+        logdet_lanczos(op, EstimatorConfig(m=30, d=3, seed=0))
+        assert widths == [1, 1, 1]
+
+    def test_value_does_not_depend_on_reported_storage(self, monkeypatch):
+        # the dense operator runs one block of 20 probes; the delegating one
+        # reports no storage and runs ten blocks of 2 under this floor
+        n, m, d = 200, 10, 20
+        monkeypatch.setattr(estimators, "_BASIS_BYTES", 8 * m * n * 2)
+        op = random_spd(n, 3, lo=0.05)
+        counting = CountingOperator(op)
+        cfg = EstimatorConfig(m=m, d=d, seed=1)
+        assert logdet_lanczos(op, cfg).value == logdet_lanczos(counting, cfg).value
+        assert counting.matmats == m * 10
 
 
 class TestConditionNumber:

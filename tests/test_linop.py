@@ -88,6 +88,33 @@ class TestDenseOperator:
             LinearOperator().matmat(np.ones((2, 2)))
 
 
+class TestNbytes:
+    """Operators report the bytes of the matrix they store."""
+
+    def test_dense_is_its_array(self):
+        A = tridiag(40)
+        assert DenseOperator(A).nbytes == A.nbytes == 40 * 40 * 8
+
+    def test_sparse_counts_both_csr_matrices(self):
+        op = SparseOperator.from_coo([0, 1, 1, 2], [0, 0, 1, 2],
+                                     [2.0, -1.0, 2.0, 3.0], 3)
+        want = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+                   for M in (op.lower, op._full))
+        assert op.nbytes == want
+        assert op._full.nnz == 5 and op.lower.nnz == 4
+
+    def test_delegating_subclass_reports_unknown(self):
+        class Delegating(LinearOperator):
+            def __init__(self, inner):
+                self.inner = inner
+                self.n = inner.n
+
+            def matmat(self, X):
+                return self.inner.matmat(X)
+
+        assert Delegating(DenseOperator(tridiag(40))).nbytes == 0
+
+
 class TestGershgorin:
     def test_identity(self):
         assert gershgorin_upper_bound(identity(3)) == 1.0
