@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from . import maxent
-from .linop import LinearOperator, NormalizedOperator, gershgorin_upper_bound
+from .linop import LinearOperator, NormalizedOperator, gershgorin_upper_bound, normalize
 from .maxent import (BetaPrior, DegenerateSpectrumError, SolverConfig,
                      UniformPrior, fit_beta_prior)
 from .probes import (CHEBYSHEV, MomentBasis, estimate_moments, moments_to_power,
@@ -95,8 +95,8 @@ def logdet_maxent(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Log
     if cfg.m < 2 and cfg.prior != "uniform":
         raise ValueError("prior fitting needs at least two moments")
     t0 = time.perf_counter()
-    lam_u = gershgorin_upper_bound(op)
-    B = NormalizedOperator(op, lam_u)
+    B = normalize(op)
+    lam_u = B.lambda_u
     basis = MomentBasis(cfg.basis, cfg.m)
     moments = estimate_moments(B, basis, cfg.d, cfg.seed)
     prior = _choose_prior(cfg, moments)
@@ -124,8 +124,8 @@ def _chebyshev_series_logdet(op: LinearOperator, cfg: EstimatorConfig, method: s
     and makes a spectrum sitting at 1 (the identity) give exactly 0.
     """
     t0 = time.perf_counter()
-    lam_u = gershgorin_upper_bound(op)
-    B = NormalizedOperator(op, lam_u)
+    B = normalize(op)
+    lam_u = B.lambda_u
     mu = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed).values
     value = float(op.n * np.log(lam_u) + op.n * (c @ (mu - 1.0)))
     return LogDetEstimate(
@@ -247,8 +247,8 @@ def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Lo
     """
     cfg = cfg or EstimatorConfig()
     t0 = time.perf_counter()
-    lam_u = gershgorin_upper_bound(op)
-    B = NormalizedOperator(op, lam_u)
+    B = normalize(op)
+    lam_u = B.lambda_u
     m = min(cfg.m, op.n)
     width = max(1, max(_BASIS_BYTES, op.nbytes) // (8 * m * op.n))
     Z = probe_matrix(op.n, cfg.d, cfg.seed)

@@ -12,11 +12,14 @@ sparse-times-dense call.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 
 
 _ROW_BLOCK_ELEMS = 1 << 15
+_ENTRY_DTYPE = [("i", np.int64), ("j", np.int64), ("v", float)]
 
 
 class MatrixMarketError(ValueError):
@@ -101,6 +104,8 @@ class SparseOperator(LinearOperator):
         lower = sp.csr_matrix(lower)
         if lower.shape != (n, n):
             raise ValueError("lower-triangle storage must be n-by-n")
+        if not np.isfinite(lower.data).all():
+            raise ValueError("matrix contains non-finite entries")
         self.lower = lower
         self._full = sp.csr_matrix(lower + lower.T - sp.diags(lower.diagonal()))
         self.n = n
@@ -171,10 +176,13 @@ def normalize(op: LinearOperator) -> NormalizedOperator:
 def read_matrix_market(path) -> SparseOperator:
     """Read a coordinate real symmetric Matrix Market file.
 
-    Entries of either triangle are folded into the lower one, which the
-    operator keeps next to the full matrix it multiplies with. Raises
-    MatrixMarketError for malformed headers, non-symmetric declarations,
-    non-square sizes, and out-of-range indices.
+    The entry list is parsed in one numpy pass; comments and blank lines
+    may appear anywhere in it. Entries of either triangle are folded into
+    the lower one, which the operator keeps next to the full matrix it
+    multiplies with. Raises MatrixMarketError for malformed headers, size
+    lines and entry lines, non-symmetric declarations, non-square sizes,
+    an entry count that differs from the declared one, and out-of-range
+    indices; the operator raises ValueError for non-finite values.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -199,31 +207,27 @@ def read_matrix_market(path) -> SparseOperator:
             nrows, ncols, nnz = (int(p) for p in parts)
         except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
+        if nnz < 0:
+            raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
         if nrows != ncols:
             raise MatrixMarketError(f"matrix is not square: {nrows}x{ncols}")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=float)
-        k = 0
-        for line in fh:
-            if not line.strip() or line.lstrip().startswith("%"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or k >= nnz:
-                raise MatrixMarketError(f"malformed entry line: {line.strip()!r}")
+        # an empty entry list is reported by the count check below
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+                entries = np.loadtxt(fh, dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
             except ValueError as exc:
-                raise MatrixMarketError(f"malformed entry line: {line.strip()!r}") from exc
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(f"index out of range: ({i}, {j}) for n={nrows}")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-            k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"expected {nnz} entries, found {k}")
+                raise MatrixMarketError(f"malformed entry line: {exc}") from exc
 
-    return SparseOperator.from_coo(rows, cols, vals, nrows)
+    i, j = entries["i"], entries["j"]
+    if len(entries) != nnz:
+        raise MatrixMarketError(f"expected {nnz} entries, found {len(entries)}")
+    bad = np.flatnonzero((i < 1) | (i > nrows) | (j < 1) | (j > ncols))
+    if bad.size:
+        k = bad[0]
+        raise MatrixMarketError(f"index out of range: ({i[k]}, {j[k]}) for n={nrows}")
+    return SparseOperator.from_coo(i - 1, j - 1, entries["v"], nrows)
 
 
 def write_matrix_market(op: LinearOperator, path) -> None:
@@ -240,8 +244,6 @@ def write_matrix_market(op: LinearOperator, path) -> None:
         keep = vals != 0.0
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     order = np.lexsort((rows, cols))
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{op.n} {op.n} {len(vals)}\n")
-        for k in order:
-            fh.write(f"{rows[k] + 1} {cols[k] + 1} {vals[k]:.17g}\n")
+    np.savetxt(path, np.column_stack((rows + 1, cols + 1, vals))[order],
+               fmt="%d %d %.17g", comments="",
+               header=f"%%MatrixMarket matrix coordinate real symmetric\n{op.n} {op.n} {len(vals)}")

@@ -308,8 +308,7 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     config = config or SolverConfig()
     if abs(moments.values[0] - 1.0) > 1e-8:
         raise ValueError("mu_0 must equal 1 (normalized spectral measure)")
-    problem = DualProblem(prior, moments.basis, moments.values, config,
-                          penalty=_moment_penalty(moments, config))
+    problem = _problem(prior, moments.basis, moments, config)
     alpha = np.zeros(moments.basis.order + 1)
     we = problem.weights(alpha)
     S = problem._objective(alpha, we)

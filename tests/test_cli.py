@@ -204,6 +204,12 @@ class TestBench:
             assert float(by_method[method]["rel_error"]) <= 1e-6
         assert float(by_method["maxent"]["rel_error"]) <= 0.05
 
+    def test_zero_size_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "zero.mtx"
+        path.write_text(IDENTITY_HEADER + "0 0 0\n")
+        assert main(["bench", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"error reading {path}: ")
+
     def test_json_flag(self, capsys):
         code = main(["bench", "--lengthscales", "0.3", "--n", "60",
                      "-m", "5", "-d", "5", "--methods", "lanczos",
@@ -212,3 +218,12 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 1
         assert payload[0]["method"] == "lanczos"
+
+
+@pytest.mark.parametrize("command", ["estimate", "moments", "bench"])
+def test_non_finite_entry_is_parse_error(command, tmp_path, capsys):
+    path = tmp_path / "nan.mtx"
+    path.write_text(IDENTITY_HEADER + "2 2 2\n1 1 nan\n2 2 1.0\n")
+    argv = [command, str(path)] if command == "bench" else [command, "--mtx", str(path)]
+    assert main(argv) == 3
+    assert "non-finite" in capsys.readouterr().err

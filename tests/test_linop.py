@@ -1,5 +1,7 @@
 """Operator backends, Gershgorin bound, and Matrix Market ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,11 @@ class TestSparseOperator:
                                      [2.0, -1.0, 2.0, 3.0], 3)
         X = np.random.default_rng(2).standard_normal((3, 5))
         assert np.allclose(op.matmat(X), op.to_dense() @ X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseOperator.from_coo([0, 1, 1], [0, 0, 1], [2.0, bad, 2.0], 2)
 
 
 class TestDenseOperator:
@@ -204,3 +211,57 @@ class TestMatrixMarket:
         write_matrix_market(op, path)
         back = read_matrix_market(path)
         assert np.array_equal(back.to_dense(), A)
+
+    @pytest.mark.parametrize("body, message", [
+        ("3 3 3\n1 1 1.0\n", "expected 3 entries, found 1"),
+        ("2 2 2\n% only comments\n\n% and blank lines\n\n", "expected 2 entries, found 0"),
+        ("2 2 0\n1 1 1.0\n", "expected 0 entries, found 1"),
+    ], ids=["too-few", "comments-only", "surplus-after-zero"])
+    def test_entry_count_mismatch(self, tmp_path, body, message):
+        path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixMarketError, match=message):
+                read_matrix_market(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("2 2 -1\n", "malformed size line"),
+        ("2 2 1\n1.5 1 1.0\n", "malformed entry line"),
+        ("2 2 1\n0 1 1.0\n", r"index out of range: \(0, 1\) for n=2"),
+        ("2 2 1\n1 1\n", "malformed entry line"),
+        ("2 2 1\n1 1 1.0 2.0\n", "malformed entry line"),
+    ], ids=["negative-count", "fractional-index", "zero-index", "two-fields", "four-fields"])
+    def test_malformed_lines_rejected(self, tmp_path, body, message):
+        path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
+        with pytest.raises(MatrixMarketError, match=message):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("body, off_diagonal", [
+        ("2 2 3\n1 1 2.0\n1 2 -1.0\n2 2 2.0\n", -1.0),
+        ("2 2 4\n1 1 2.0\n2 1 -1.0\n1 2 -0.5\n2 2 2.0\n", -1.5),
+    ], ids=["upper-mirrored", "both-triangles-summed"])
+    def test_entries_folded_into_lower_triangle(self, tmp_path, body, off_diagonal):
+        path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
+        op = read_matrix_market(path)
+        assert np.array_equal(op.lower.toarray(), [[2.0, 0.0], [off_diagonal, 2.0]])
+        assert np.array_equal(op.to_dense(), [[2.0, off_diagonal], [off_diagonal, 2.0]])
+
+    def test_written_text(self, tmp_path):
+        A = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, 0.1], [0.0, 0.1, 2.0]])
+        path = tmp_path / "w.mtx"
+        write_matrix_market(DenseOperator(A), path)
+        assert path.read_text() == (
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 5\n1 1 4\n2 1 -1\n2 2 4\n3 2 0.10000000000000001\n3 3 2\n")
+
+    def test_sparse_round_trip_keeps_csr_arrays(self, tmp_path):
+        n = 30
+        i = np.arange(n)
+        op = SparseOperator.from_coo(np.r_[i, i[1:]], np.r_[i, i[:-1]],
+                                     np.r_[np.full(n, 2.0), np.full(n - 1, -1.0)], n)
+        path = tmp_path / "lap.mtx"
+        write_matrix_market(op, path)
+        back = read_matrix_market(path)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(back.lower, name), getattr(op.lower, name))
+        assert np.array_equal(back.to_dense(), op.to_dense())
