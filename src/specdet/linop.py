@@ -182,7 +182,9 @@ def read_matrix_market(path) -> SparseOperator:
     multiplies with. Raises MatrixMarketError for malformed headers, size
     lines and entry lines, non-symmetric declarations, non-square sizes,
     an entry count that differs from the declared one, and out-of-range
-    indices; the operator raises ValueError for non-finite values.
+    indices; the operator raises ValueError for non-finite values. A
+    malformed entry line carries numpy's row number, which counts from the
+    line after the size line; the message names that line's number.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -197,9 +199,9 @@ def read_matrix_market(path) -> SparseOperator:
         if symm != "symmetric":
             raise MatrixMarketError(f"non-symmetric declaration {symm!r}; only symmetric is accepted")
 
-        line = fh.readline()
+        line, lineno = fh.readline(), 2
         while line and line.lstrip().startswith("%"):
-            line = fh.readline()
+            line, lineno = fh.readline(), lineno + 1
         parts = line.split()
         if len(parts) != 3:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
@@ -215,10 +217,13 @@ def read_matrix_market(path) -> SparseOperator:
         # an empty entry list is reported by the count check below
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # older numpy only warns, and truncates, on a fractional index
+            warnings.filterwarnings("error", category=DeprecationWarning)
             try:
                 entries = np.loadtxt(fh, dtype=_ENTRY_DTYPE, comments="%", ndmin=1)
             except ValueError as exc:
-                raise MatrixMarketError(f"malformed entry line: {exc}") from exc
+                raise MatrixMarketError(
+                    f"malformed entry line: {exc} (row 0 is line {lineno + 1})") from exc
 
     i, j = entries["i"], entries["j"]
     if len(entries) != nnz:

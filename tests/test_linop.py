@@ -226,15 +226,18 @@ class TestMatrixMarket:
 
     @pytest.mark.parametrize("body, message", [
         ("2 2 -1\n", "malformed size line"),
-        ("2 2 1\n1.5 1 1.0\n", "malformed entry line"),
+        ("2 2 1\n1.5 1 1.0\n", r"malformed entry line: .*\(row 0 is line 3\)"),
         ("2 2 1\n0 1 1.0\n", r"index out of range: \(0, 1\) for n=2"),
         ("2 2 1\n1 1\n", "malformed entry line"),
         ("2 2 1\n1 1 1.0 2.0\n", "malformed entry line"),
     ], ids=["negative-count", "fractional-index", "zero-index", "two-fields", "four-fields"])
     def test_malformed_lines_rejected(self, tmp_path, body, message):
         path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
-        with pytest.raises(MatrixMarketError, match=message):
-            read_matrix_market(path)
+        # outside the test suite a DeprecationWarning is ignored, not raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(MatrixMarketError, match=message):
+                read_matrix_market(path)
 
     @pytest.mark.parametrize("body, off_diagonal", [
         ("2 2 3\n1 1 2.0\n1 2 -1.0\n2 2 2.0\n", -1.0),
