@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 usage, 3 input parse failure, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -187,27 +188,44 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _bench_case(op, dataset, lengthscale, min_eig, method, args) -> BenchRecord:
+def _bench_case(op, dataset, lengthscale, min_eig, methods, args) -> list:
+    """One record per method on one operator; kappa and the oracle run once."""
     cfg = _estimator_config(args, min_eig)
-    record = BenchRecord(
-        dataset=dataset, n=op.n, kappa=None, lengthscale=lengthscale,
-        method=method, m=cfg.m, d=cfg.d, seed=cfg.seed,
-        estimate=None, exact=None, rel_error=None, wall_time_ms=None,
-    )
+    records = [BenchRecord(dataset=dataset, n=op.n, kappa=None, lengthscale=lengthscale,
+                           method=method, m=cfg.m, d=cfg.d, seed=cfg.seed, estimate=None,
+                           exact=None, rel_error=None, wall_time_ms=None)
+               for method in methods]
     try:
-        if args.kappa:
-            record.kappa = condition_number_estimate(op, seed=cfg.seed)
-        est = estimate_logdet(op, method, cfg)
-        record.estimate = est.value
-        record.wall_time_ms = est.wall_time_ms
-        if op.n <= args.exact_guard:
-            record.exact = logdet_exact(op)
-            record.rel_error = _rel_error(est.value, record.exact)
-        if not est.converged:
-            record.error = "non-converged"
+        kappa = condition_number_estimate(op, seed=cfg.seed) if args.kappa else None
     except _NUMERICAL_ERRORS as exc:
-        record.error = str(exc)
-    return record
+        for r in records:
+            r.error = str(exc)
+        return records
+    for r in records:
+        r.kappa = kappa
+        try:
+            est = estimate_logdet(op, r.method, cfg)
+        except _NUMERICAL_ERRORS as exc:
+            r.error = str(exc)
+            continue
+        r.estimate, r.wall_time_ms = est.value, est.wall_time_ms
+        if not est.converged:
+            r.error = "non-converged"
+    done = [r for r in records if r.estimate is not None]
+    if not done or op.n > args.exact_guard:
+        return records
+    # an `exact` estimate is the oracle's value; otherwise factor once here
+    exact = next((r.estimate for r in done if r.method == "exact"), None)
+    try:
+        if exact is None:
+            exact = logdet_exact(op)
+    except _NUMERICAL_ERRORS as exc:
+        for r in done:
+            r.error = str(exc)
+        return records
+    for r in done:
+        r.exact, r.rel_error = exact, _rel_error(r.estimate, exact)
+    return records
 
 
 def cmd_bench(args) -> int:
@@ -221,14 +239,16 @@ def cmd_bench(args) -> int:
         _estimator_config(args)  # out-of-range flags fail before any case is built
     except ValueError as exc:
         return _usage_error(exc)
+    try:
+        specs = [KernelSpec(n=args.n, dim=args.dim, lengthscale=float(l), seed=args.seed,
+                            input_scale=args.input_scale)
+                 for l in args.lengthscales.split(",")] if args.lengthscales else []
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
-    cases = []
-    if args.lengthscales:
-        for l_txt in args.lengthscales.split(","):
-            l = float(l_txt)
-            spec = KernelSpec(n=args.n, dim=args.dim, lengthscale=l,
-                              seed=args.seed, input_scale=args.input_scale)
-            cases.append((se_kernel(spec), f"se-kernel-l={l}", l, spec.noise))
+    cases = [(se_kernel(spec), f"se-kernel-l={spec.lengthscale}", spec.lengthscale, spec.noise)
+             for spec in specs]
     for path in args.files:
         try:
             cases.append((read_matrix_market(path), path, None, None))
@@ -237,22 +257,18 @@ def cmd_bench(args) -> int:
             return EXIT_PARSE
     if not cases:
         return _usage_error("no benchmark cases (need --lengthscales or files)")
-
-    records = [
-        _bench_case(op, dataset, l, min_eig, method, args)
-        for op, dataset, l, min_eig in cases
-        for method in methods
-    ]
-
-    rows = [{k: ("" if v is None else v) for k, v in asdict(r).items()} for r in records]
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
+        out = open(args.csv, "w", newline="") if args.csv else None
+    except OSError as exc:
+        return _usage_error(f"cannot write --csv: {exc}")
+
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        records = [r for op, dataset, l, min_eig in cases
+                   for r in _bench_case(op, dataset, l, min_eig, methods, args)]
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
+        writer.writerows({k: ("" if v is None else v) for k, v in asdict(r).items()}
+                         for r in records)
     if args.json:
         print(json.dumps([asdict(r) for r in records]))
     return EXIT_OK

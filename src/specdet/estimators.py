@@ -211,6 +211,8 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
     active = np.ones(b, dtype=bool)
     for j in range(m):
         q = Q[:, j]
+        # q.T is not C-contiguous, so a dense product comes back column-major
+        # and its transpose is already the rows W needs: no copy is made
         W = np.ascontiguousarray(B.matmat(q.T).T)
         alphas[:, j] = np.matmul(W[:, None, :], q[:, :, None])[:, 0, 0]
         if j == m - 1:

@@ -8,6 +8,19 @@ which sizes the working memory an estimator may spend next to them. A
 sparse symmetric matrix is given as one triangle; its operator keeps that
 triangle plus one CSR matrix holding both, so a product is a single
 sparse-times-dense call.
+
+A dense product A X is computed as (X^T A^T)^T. For a row-major (n, k)
+result OpenBLAS runs a column-major GEMM whose row count is the narrow k,
+its slow shape; the transposed form has it write the (n, k) result
+column-major, with the long n as its row count. Measured on a 2-core x86
+VM with OpenBLAS 0.3.31: 113 -> 89 us per product at n=256, k=30 on one
+thread (best of 3000), 5.7 -> 4.6 ms at n=2000, k=50 on two threads (best
+of 60). A C-contiguous X gets its result copied back to row-major, which
+costs about a fifth of that gain; any other X (a column-major or strided
+block) gets the column-major result as BLAS wrote it. The values equal
+those of A @ X bit for bit at n=256 and n=2000, but OpenBLAS splits the
+sums differently at some other sizes (n=700), so there they may differ by
+round-off.
 """
 
 from __future__ import annotations
@@ -33,7 +46,10 @@ class LinearOperator:
     symmetric: bool
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        """Apply to each column of X at once."""
+        """Apply to each column of X at once; returns a new array.
+
+        Callers may overwrite the result. It is C-contiguous when X is.
+        """
         raise NotImplementedError
 
     @property
@@ -69,7 +85,10 @@ class DenseOperator(LinearOperator):
         self.symmetric = symmetric
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        return self.A @ X
+        # BLAS writes X^T A^T row-major, i.e. A X column-major (module docstring);
+        # A^T keeps a non-symmetric A correct
+        Y = (X.T @ self.A.T).T
+        return np.ascontiguousarray(Y) if X.flags.c_contiguous else Y
 
     @property
     def nbytes(self) -> int:
@@ -95,7 +114,11 @@ class SparseOperator(LinearOperator):
 
     `lower` keeps the triangle as given, for writing it back out; products,
     the dense copy and the row sums use one CSR matrix holding the whole
-    matrix, lower + lower^T - diag(lower).
+    matrix, lower plus the transpose of its strictly lower part. Adding
+    only entries of disjoint positions keeps every value as given, however
+    large. CSR products stay as scipy computes them, row-major: on the
+    n=22,500 grid Laplacian with 10 columns they take 0.55 ms on row-major
+    blocks against 2.2-2.4 ms on column-major or strided ones.
     """
 
     def __init__(self, lower: sp.csr_matrix, n: int):
@@ -107,7 +130,7 @@ class SparseOperator(LinearOperator):
         if not np.isfinite(lower.data).all():
             raise ValueError("matrix contains non-finite entries")
         self.lower = lower
-        self._full = sp.csr_matrix(lower + lower.T - sp.diags(lower.diagonal()))
+        self._full = sp.csr_matrix(lower + sp.tril(lower, -1).T)
         self.n = n
         self.symmetric = True
 

@@ -158,12 +158,16 @@ def _moment_samples(op, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
     samples[:, 0] = _col_dot(Z, Z) / n
     prev, cur = None, Z
     for k in range(1, (m + 1) // 2 + 1):
-        # recurrence in t = 2B - I applied to the probe block
-        tcur = 2.0 * op.matmat(cur) - cur
-        nxt = tcur if k == 1 else 2.0 * tcur - prev
+        # recurrence in t = 2B - I applied to the probe block, updating the
+        # new array each product returns in place
+        nxt = op.matmat(cur)
+        nxt *= 2.0
+        nxt -= cur
         if k == 1:
             samples[:, 1] = _col_dot(Z, nxt) / n
         else:
+            nxt *= 2.0
+            nxt -= prev
             samples[:, 2 * k - 1] = 2.0 * _col_dot(cur, nxt) / n - samples[:, 1]
         if 2 * k <= m:
             samples[:, 2 * k] = 2.0 * _col_dot(nxt, nxt) / n - samples[:, 0]
@@ -179,7 +183,8 @@ def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMomen
     """Monte Carlo moment estimates over d probes, deterministic in seed.
 
     `op` is typically a NormalizedOperator; any symmetric operator with .n
-    and .matmat works (the doubling identities need symmetry). Probes are
+    and a .matmat that returns a new array works (the doubling identities
+    need symmetry, and the recurrence overwrites each product). Probes are
     reduced in index order, so results are bit-identical for identical
     arguments.
     """

@@ -29,12 +29,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.n < 1 or self.dim < 1:
             raise ValueError("n and dim must be >= 1")
-        if self.lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
-        if self.noise < 0:
-            raise ValueError("noise variance must be non-negative")
-        if self.input_scale <= 0:
-            raise ValueError("input_scale must be positive")
+        # the negated forms also reject nan; an infinite input spread makes
+        # every distance nan
+        if not self.lengthscale > 0:
+            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise variance must be non-negative and finite, got {self.noise}")
+        if not 0 < self.input_scale < np.inf:
+            raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
 
 
 def se_kernel(spec: KernelSpec, points: np.ndarray | None = None) -> DenseOperator:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from specdet import cli
+from specdet import cli, estimators
 from specdet.cli import main
 from specdet.estimators import logdet_exact
 from specdet.linop import DenseOperator, write_matrix_market
@@ -104,6 +104,12 @@ class TestEstimate:
         path.write_text(IDENTITY_HEADER + "0 0 0\n")
         assert main(["estimate", "--mtx", str(path)]) == 3
 
+    def test_huge_finite_diagonal_is_estimated(self, tmp_path, capsys):
+        path = tmp_path / "big.mtx"
+        path.write_text(IDENTITY_HEADER + "1 1 1\n1 1 1e308\n")
+        assert main(["estimate", "--mtx", str(path), "--method", "taylor", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(np.log(1e308))
+
 
 class TestMoments:
     def test_identity_power_moments(self, capsys):
@@ -174,6 +180,63 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--lengthscales", "abc"],
+        ["--lengthscales", "0.5,-1"],
+        ["--lengthscales", "nan"],
+        ["--lengthscales", "0.5", "--n", "0"],
+        ["--lengthscales", "0.5", "--dim", "0"],
+        ["--lengthscales", "0.5", "--input-scale", "inf"],
+    ], ids=["not-a-number", "negative", "nan", "n-zero", "dim-zero", "infinite-spread"])
+    def test_bad_kernel_flag_is_parse_error_before_any_case(self, flags, monkeypatch, capsys):
+        def no_case(*args):
+            raise AssertionError("a case was built")
+
+        monkeypatch.setattr(cli, "se_kernel", no_case)
+        assert main(["bench", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_csv_is_usage_error_before_any_estimate(self, target, tmp_path,
+                                                               monkeypatch, capsys):
+        def no_estimate(*args):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(cli, "estimate_logdet", no_estimate)
+        code = main(["bench", "--lengthscales", "0.5", "--n", "20",
+                     "--csv", str(tmp_path / target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("methods", ["maxent,taylor,lanczos", "taylor,exact"])
+    def test_oracle_and_kappa_run_once_per_case(self, methods, monkeypatch, capsys):
+        calls = {"exact": 0, "kappa": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the `exact` method factors through the estimators module's oracle
+        monkeypatch.setattr(cli, "logdet_exact", counted("exact", cli.logdet_exact))
+        monkeypatch.setattr(estimators, "logdet_exact", counted("exact", estimators.logdet_exact))
+        monkeypatch.setattr(cli, "condition_number_estimate",
+                            counted("kappa", cli.condition_number_estimate))
+        code = main(["bench", "--lengthscales", "0.5", "--n", "40", "-m", "6", "-d", "4",
+                     "--methods", methods, "--kappa"])
+        assert code == 0
+        assert calls == {"exact": 1, "kappa": 1}
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["method"] for r in rows] == methods.split(",")
+        want = logdet_exact(se_kernel(KernelSpec(n=40, lengthscale=0.5, input_scale=0.21)))
+        for r in rows:
+            assert float(r["exact"]) == want and r["kappa"] != ""
 
     def test_sweep_shape(self, tmp_path, capsys):
         # 9 lengthscales x 3 methods mirrors the dense benchmark table

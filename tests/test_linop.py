@@ -51,6 +51,45 @@ class TestMatvec:
         assert np.allclose(op.matmat(X), cols)
 
 
+def _block(layout, n, k, rng):
+    """An n-by-k block laid out row-major, column-major, or as a strided view."""
+    if layout == "C":
+        return rng.standard_normal((n, k))
+    if layout == "F":
+        return np.asfortranarray(rng.standard_normal((n, k)))
+    # column j of a Lanczos basis Q[:, j] is a (k, n) view with gaps between rows
+    return rng.standard_normal((k, 3, n))[:, 1].T
+
+
+class TestDenseProduct:
+    """The dense product is A X, written column-major by BLAS."""
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
+    @pytest.mark.parametrize("k", [1, 30])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_matches_a_times_x(self, layout, k, symmetric):
+        n = 200
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((n, n))
+        if symmetric:
+            A = A + A.T
+        X = _block(layout, n, k, rng)
+        Y = DenseOperator(A).matmat(X)
+        # two float64 products of length-n dot products differ by at most
+        # 2 n eps |A| |X| entrywise, whatever order BLAS sums them in
+        bound = 2 * n * np.finfo(float).eps * (np.abs(A) @ np.abs(X))
+        assert Y.shape == (n, k)
+        assert np.all(np.abs(Y - A @ X) <= bound)
+        # callers may overwrite the result in place
+        assert not np.shares_memory(Y, X) and not np.shares_memory(Y, A)
+        if X.flags.c_contiguous:
+            # the moment pass relies on row-major blocks
+            assert Y.flags.c_contiguous
+        else:
+            # SLQ takes the transpose as its rows without a copy
+            assert Y.T.flags.c_contiguous
+
+
 class TestSparseOperator:
     def test_lower_triangle_expansion(self):
         # full matrix [[2,-1],[-1,2]] from its lower triangle only
@@ -69,6 +108,12 @@ class TestSparseOperator:
         op = SparseOperator.from_coo(*np.nonzero(np.tril(A)),
                                      np.tril(A)[np.nonzero(np.tril(A))], 7)
         assert np.allclose(op.abs_row_sums(), np.abs(A).sum(axis=1))
+
+    @pytest.mark.parametrize("big", [1e308, np.finfo(float).max], ids=["1e308", "max"])
+    def test_huge_finite_entries_kept(self, big):
+        assert np.array_equal(SparseOperator.from_coo([0], [0], [big], 1).to_dense(), [[big]])
+        op = SparseOperator.from_coo([0, 1, 1], [0, 0, 1], [big, -big, big], 2)
+        assert np.array_equal(op.to_dense(), [[big, -big], [-big, big]])
 
     def test_matmat_matches_dense(self):
         op = SparseOperator.from_coo([0, 1, 1, 2], [0, 0, 1, 2],

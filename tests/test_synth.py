@@ -61,3 +61,11 @@ class TestSeKernel:
             KernelSpec(n=5, noise=-1e-9)
         with pytest.raises(ValueError):
             KernelSpec(n=5, input_scale=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lengthscale", np.nan), ("noise", np.nan), ("noise", np.inf),
+        ("input_scale", np.nan), ("input_scale", np.inf),
+    ], ids=["lengthscale-nan", "noise-nan", "noise-inf", "input-scale-nan", "input-scale-inf"])
+    def test_spec_rejects_values_that_make_the_kernel_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field.replace("noise", "noise variance")):
+            KernelSpec(n=5, **{field: value})
