@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -128,6 +129,19 @@ def _rel_error(est: float, exact: float) -> float:
     return abs(est - exact) / abs(exact)
 
 
+def _print_json(obj) -> None:
+    """Print obj as strict JSON (RFC 8259), writing NaN and infinities as null."""
+    def finite(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [finite(x) for x in v]
+        return v
+    print(json.dumps(finite(obj), allow_nan=False))
+
+
 def cmd_logdet(args) -> int:
     try:
         op, dataset, _, min_eig = _load_operator(args)
@@ -144,7 +158,7 @@ def cmd_logdet(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
-        print(json.dumps({"dataset": dataset, **asdict(est)}))
+        _print_json({"dataset": dataset, **asdict(est)})
     else:
         print(f"logdet[{est.method}] = {est.value:.10g}   "
               f"(n={op.n}, m={est.m}, d={est.d}, seed={est.seed}, "
@@ -174,12 +188,12 @@ def cmd_moments(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
-        print(json.dumps({
+        _print_json({
             "dataset": dataset, "basis": args.basis, "m": args.moments,
             "d": args.probes, "seed": args.seed,
             "values": moments.values.tolist(),
             "variance": moments.variance.tolist(),
-        }))
+        })
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["i", "value", "variance"])
@@ -270,7 +284,7 @@ def cmd_bench(args) -> int:
         writer.writerows({k: ("" if v is None else v) for k, v in asdict(r).items()}
                          for r in records)
     if args.json:
-        print(json.dumps([asdict(r) for r in records]))
+        _print_json([asdict(r) for r in records])
     return EXIT_OK
 
 

@@ -66,7 +66,13 @@ class LogDetEstimate:
 
 
 def logdet_exact(op: LinearOperator, max_n: int = 20_000) -> float:
-    """2 sum log L_ii from the Cholesky factor; O(n^3), guarded by max_n."""
+    """2 sum log L_ii from the Cholesky factor; O(n^3), guarded by max_n.
+
+    The factorization reads one triangle only, so a non-symmetric operator
+    is refused rather than answered for its lower triangle.
+    """
+    if not op.symmetric:
+        raise ValueError("exact log determinant requires a symmetric operator")
     if op.n > max_n:
         raise ValueError(f"n={op.n} exceeds the exact-oracle guard {max_n}")
     A = op.to_dense()

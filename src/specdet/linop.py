@@ -9,18 +9,30 @@ sparse symmetric matrix is given as one triangle; its operator keeps that
 triangle plus one CSR matrix holding both, so a product is a single
 sparse-times-dense call.
 
-A dense product A X is computed as (X^T A^T)^T. For a row-major (n, k)
-result OpenBLAS runs a column-major GEMM whose row count is the narrow k,
-its slow shape; the transposed form has it write the (n, k) result
-column-major, with the long n as its row count. Measured on a 2-core x86
-VM with OpenBLAS 0.3.31: 113 -> 89 us per product at n=256, k=30 on one
-thread (best of 3000), 5.7 -> 4.6 ms at n=2000, k=50 on two threads (best
-of 60). A C-contiguous X gets its result copied back to row-major, which
-costs about a fifth of that gain; any other X (a column-major or strided
-block) gets the column-major result as BLAS wrote it. The values equal
-those of A @ X bit for bit at n=256 and n=2000, but OpenBLAS splits the
-sums differently at some other sizes (n=700), so there they may differ by
-round-off.
+A dense product A X is one call to `scipy.linalg.blas.dgemm`, the
+OpenBLAS that the Cholesky oracle and the condition-number estimate
+factor with, rather than numpy's `@`. The numpy and scipy wheels each
+bundle their own OpenBLAS (0.3.31 ILP64 in numpy 2.4.6, 0.3.30 LP64 in
+scipy 1.17.1), and both are loaded. After a threaded call a library keeps
+its worker thread spinning for about 0.1 s, which on two cores halves the
+other library's two-thread throughput: a Cholesky slowed the products
+that followed it, and products slowed the Cholesky that followed them. With one library for
+both, the worker that is still hot picks up the next call. Measured on a
+2-core x86 VM with the benchmark's dense workload (SE kernels, n=2000,
+m=30, d=50; medians of 12 runs): maxent 164 -> 118 ms, the Cholesky oracle
+140 -> 95 ms.
+
+dgemm is asked for A X column-major, with the long n as its GEMM row
+count, which is OpenBLAS's fast shape. A is stored C-contiguous, so A^T is
+Fortran-ordered and goes in with `trans_a` without a copy; a stored
+Fortran or strided A would be copied whole on every product (5.1 -> 23 ms
+at n=2000, k=50). A C-contiguous X goes in as X^T with `trans_b`, a
+Fortran one as it is, and a strided one is copied column by column, never
+transposed. A C-contiguous X gets its result copied back to row-major; any
+other X gets the column-major result as BLAS wrote it. The values equal
+those of numpy's A @ X bit for bit at the benchmark's shapes, (256, 30)
+and (2000, 50), but not at every size and block width (numpy uses gemv
+at k=1), so elsewhere they may differ by round-off.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 
 
 _ROW_BLOCK_ELEMS = 1 << 15
@@ -78,17 +91,21 @@ class DenseOperator(LinearOperator):
             raise ValueError("matrix must be at least 1x1")
         if not np.isfinite(A).all():
             raise ValueError("matrix contains non-finite entries")
-        self.A = A
+        # A^T must be Fortran-ordered for dgemm to take it without a copy
+        self.A = np.ascontiguousarray(A)
         self.n = A.shape[0]
         if symmetric is None:
             symmetric = bool(np.array_equal(A, A.T))
         self.symmetric = symmetric
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        # BLAS writes X^T A^T row-major, i.e. A X column-major (module docstring);
-        # A^T keeps a non-symmetric A correct
-        Y = (X.T @ self.A.T).T
-        return np.ascontiguousarray(Y) if X.flags.c_contiguous else Y
+        # f2py reports a mismatch as _fblas.error, not ValueError
+        if X.ndim != 2 or X.shape[0] != self.n:
+            raise ValueError(f"block of shape {X.shape} does not match n={self.n}")
+        # dgemm writes A X column-major from Fortran-ordered views (module docstring)
+        if X.flags.c_contiguous:
+            return np.ascontiguousarray(dgemm(1.0, self.A.T, X.T, trans_a=True, trans_b=True))
+        return dgemm(1.0, self.A.T, X, trans_a=True)
 
     @property
     def nbytes(self) -> int:

@@ -22,7 +22,25 @@ def write_diag124(tmp_path):
     return str(path)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 parsers do."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestEstimate:
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_json_is_strict(self, method, capsys):
+        code = main(["estimate", "--identity", "5", "--method", method,
+                     "-m", "4", "-d", "3", "--json"])
+        assert code in (0, 5)
+        out = strict_json(capsys.readouterr().out)
+        assert out["value"] == pytest.approx(0.0, abs=0.05)
+        # only maxent has a dual gradient; the oracle has no Gershgorin bound
+        assert (out["grad_norm"] is None) == (method != "maxent")
+        assert (out["lambda_u"] is None) == (method == "exact")
+
     def test_identity_maxent_near_zero(self, capsys):
         # the point-mass fit cannot hit the tolerance, so non-convergence
         # (exit 5) is acceptable; the value contract is value ~ 0
@@ -281,6 +299,16 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 1
         assert payload[0]["method"] == "lanczos"
+
+    def test_json_writes_non_finite_as_null(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "condition_number_estimate", lambda op, seed: float("inf"))
+        code = main(["bench", "--lengthscales", "0.3", "--n", "60",
+                     "-m", "5", "-d", "5", "--methods", "taylor", "--kappa",
+                     "--json", "--csv", "/dev/null"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload[0]["kappa"] is None
+        assert payload[0]["rel_error"] >= 0.0
 
 
 @pytest.mark.parametrize("command", ["estimate", "moments", "bench"])

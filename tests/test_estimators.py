@@ -61,6 +61,14 @@ class TestExact:
         op = DenseOperator(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         assert logdet_exact(op) == pytest.approx(np.log(3.0))
 
+    def test_non_symmetric_refused(self):
+        # det = -1, but the lower triangle alone reads as det = 3
+        op = DenseOperator(np.array([[2.0, 5.0], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            logdet_exact(op)
+        with pytest.raises(ValueError, match="symmetric"):
+            estimate_logdet(op, "exact")
+
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             logdet_exact(DenseOperator(np.diag([1.0, -1.0])))

@@ -1,5 +1,6 @@
 """Operator backends, Gershgorin bound, and Matrix Market ingestion."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -61,8 +62,50 @@ def _block(layout, n, k, rng):
     return rng.standard_normal((k, 3, n))[:, 1].T
 
 
+def assert_product_close(Y, A, X):
+    # two float64 products of length-n dot products differ by at most
+    # 2 n eps |A| |X| entrywise, whatever order BLAS sums them in
+    bound = 2 * A.shape[0] * np.finfo(float).eps * (np.abs(A) @ np.abs(X))
+    assert np.all(np.abs(Y - A @ X) <= bound)
+
+
 class TestDenseProduct:
     """The dense product is A X, written column-major by BLAS."""
+
+    @pytest.mark.parametrize("layout", ["C", "strided"])
+    def test_benchmark_shape(self, layout):
+        # dense-se's moment pass multiplies C blocks, its SLQ strided ones
+        n, k = 2000, 50
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((n, n))
+        A = A + A.T
+        X = _block(layout, n, k, rng)
+        assert_product_close(DenseOperator(A).matmat(X), A, X)
+
+    @pytest.mark.parametrize("block", ["C", "F", "strided"])
+    @pytest.mark.parametrize("stored", ["C", "F", "strided"])
+    def test_no_matrix_copy_per_product(self, stored, block):
+        # BLAS reads A in place whatever layout it was built from; a copy of
+        # A alone would take n^2 * 8 bytes (8 MB here) on every product
+        n, k = 1000, 30
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((n, n))
+        A = {"C": M, "F": np.asfortranarray(M),
+             "strided": np.repeat(M, 2, axis=1)[:, ::2]}[stored]
+        op = DenseOperator(A)
+        X = _block(block, n, k, rng)
+        tracemalloc.start()
+        try:
+            Y = op.matmat(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 8
+        assert_product_close(Y, M, X)
+
+    def test_c_matrix_stored_without_copy(self):
+        A = tridiag(40)
+        assert DenseOperator(A).A is A
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "non-symmetric"])
     @pytest.mark.parametrize("k", [1, 30])
@@ -75,11 +118,8 @@ class TestDenseProduct:
             A = A + A.T
         X = _block(layout, n, k, rng)
         Y = DenseOperator(A).matmat(X)
-        # two float64 products of length-n dot products differ by at most
-        # 2 n eps |A| |X| entrywise, whatever order BLAS sums them in
-        bound = 2 * n * np.finfo(float).eps * (np.abs(A) @ np.abs(X))
         assert Y.shape == (n, k)
-        assert np.all(np.abs(Y - A @ X) <= bound)
+        assert_product_close(Y, A, X)
         # callers may overwrite the result in place
         assert not np.shares_memory(Y, X) and not np.shares_memory(Y, A)
         if X.flags.c_contiguous:
