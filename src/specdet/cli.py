@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .estimators import (EstimatorConfig, NotPositiveDefiniteError,
+from .estimators import (METHODS, EstimatorConfig, NotPositiveDefiniteError,
                          condition_number_estimate, estimate_logdet,
                          logdet_exact)
 from .linop import identity, normalize, read_matrix_market
@@ -33,7 +33,6 @@ EXIT_NONCONVERGED = 5
 # what an estimate can raise on input that parsed but cannot be estimated
 _NUMERICAL_ERRORS = (NotPositiveDefiniteError, ValueError, RuntimeError, OverflowError)
 
-METHODS = ("maxent", "taylor", "chebyshev", "lanczos", "exact")
 
 @dataclass
 class BenchRecord:

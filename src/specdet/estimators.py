@@ -110,8 +110,7 @@ def logdet_maxent(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Log
     if cfg.min_eigenvalue is not None and cfg.min_eigenvalue > 0.0:
         solver = replace(solver, floor=max(solver.floor, cfg.min_eigenvalue / lam_u))
     result = maxent.solve(moments, prior, solver)
-    log_expect = maxent.integrate_log_expectation(result.density, solver)
-    value = op.n * log_expect + op.n * np.log(lam_u)
+    value = op.n * result.log_expectation + op.n * np.log(lam_u)
     return LogDetEstimate(
         value=float(value), method="maxent", lambda_u=lam_u,
         m=cfg.m, d=cfg.d, seed=cfg.seed,
@@ -279,7 +278,9 @@ def condition_number_estimate(op: LinearOperator, iterations: int = 200,
     inverse power iteration through a Cholesky factor when the matrix fits
     the factorization guard; otherwise from power iteration on the shifted
     proxy lambda_u I - K, which only lower-bounds lambda_u - lambda_min and
-    can badly underestimate kappa when small eigenvalues cluster.
+    can badly underestimate kappa when small eigenvalues cluster. Raises
+    NotPositiveDefiniteError when the factorization fails or the proxy's
+    lambda_min, an upper bound on the true one, is not positive.
     """
     rng = np.random.default_rng(seed)
     n = op.n
@@ -299,20 +300,18 @@ def condition_number_estimate(op: LinearOperator, iterations: int = 200,
         return lam
 
     lam_max = power_iter(op.matmat)
-    lam_min = None
     if n <= factor_guard:
         try:
             factor = scipy.linalg.cho_factor(op.to_dense())
-        except scipy.linalg.LinAlgError:
-            factor = None
-        if factor is not None:
-            inv_lam = power_iter(lambda v: scipy.linalg.cho_solve(factor, v))
-            if inv_lam > 0.0:
-                lam_min = 1.0 / inv_lam
-    if lam_min is None:
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("matrix not positive definite") from exc
+        lam_min = 1.0 / power_iter(lambda v: scipy.linalg.cho_solve(factor, v))
+    else:
         lam_min = lam_u - power_iter(lambda v: lam_u * v - op.matmat(v))
-    if lam_min <= 0.0:
-        lam_min = np.finfo(float).tiny
+        if lam_min <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"shifted power iteration bounds lambda_min by {lam_min:.3g} <= 0: "
+                "matrix not positive definite")
     return float(lam_max / lam_min)
 
 
@@ -322,6 +321,7 @@ _METHODS = {
     "chebyshev": logdet_chebyshev,
     "lanczos": logdet_lanczos,
 }
+METHODS = (*_METHODS, "exact")
 
 
 def estimate_logdet(op: LinearOperator, method: str,
@@ -338,5 +338,5 @@ def estimate_logdet(op: LinearOperator, method: str,
         fn = _METHODS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; expected one of "
-                         f"{sorted(_METHODS) + ['exact']}") from None
+                         f"{list(METHODS)}") from None
     return fn(op, cfg)

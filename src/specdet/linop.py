@@ -192,7 +192,9 @@ class NormalizedOperator:
         self.n = inner.n
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
-        return self.inner.matmat(X) / self.lambda_u
+        out = self.inner.matmat(X)  # a new array, so it may be divided in place
+        out /= self.lambda_u
+        return out
 
 
 def identity(n: int) -> DenseOperator:

@@ -15,7 +15,9 @@ factorization fails, and the exponential weights of each trial point of
 the line search are computed once and give the objective, the gradient
 and the Hessian there. All integrals use composite
 Gauss-Legendre panels refined geometrically toward 0, where log has its
-singularity and ill-conditioned spectra pile up mass.
+singularity and ill-conditioned spectra pile up mass. The solve returns
+E_q[log x] integrated with the quadrature weights it ended on, so the
+log-determinant estimate needs no second grid.
 """
 
 from __future__ import annotations
@@ -146,6 +148,7 @@ class SolveResult:
     grad_norm: float
     objective: float
     converged: bool
+    log_expectation: float  # int q log x dx on the solve's grid, clamped at 0
 
 
 @functools.cache
@@ -178,6 +181,18 @@ def quadrature_grid(floor: float, panels: int, nodes_per_panel: int,
     return nodes.ravel(), (half * w).ravel()
 
 
+def _prior_grid(prior: PriorSpec, config: SolverConfig):
+    """Quadrature nodes on [max(prior floor, config.floor), 1) and w * q0 there."""
+    floor = max(prior.support_floor, config.floor)
+    nodes, w = quadrature_grid(floor, config.panels, config.nodes_per_panel)
+    return nodes, w * prior.density(nodes)
+
+
+def _log_expectation(nodes: np.ndarray, weights: np.ndarray) -> float:
+    """sum weights * log(nodes), clamped at 0: log is at most 0 on (0, 1]."""
+    return min(float(weights @ np.log(nodes)), 0.0)
+
+
 class DualProblem:
     """Precomputed quadrature view of the dual objective for fixed inputs.
 
@@ -203,9 +218,7 @@ class DualProblem:
             self.penalty = np.asarray(penalty, dtype=float)
             if self.penalty.shape != self.mu.shape or np.any(self.penalty < 0):
                 raise ValueError("penalty must be a non-negative vector matching mu")
-        floor = max(prior.support_floor, config.floor)
-        self.nodes, w = quadrature_grid(floor, config.panels, config.nodes_per_panel)
-        self.wq0 = w * prior.density(self.nodes)
+        self.nodes, self.wq0 = _prior_grid(prior, config)
         self.F = basis.vandermonde(self.nodes)
 
     def _expfactor(self, alpha: np.ndarray) -> np.ndarray:
@@ -238,38 +251,12 @@ class DualProblem:
     def hessian(self, alpha: np.ndarray) -> np.ndarray:
         return self._hessian(self.weights(alpha))
 
-    def fitted_moments(self, alpha: np.ndarray) -> np.ndarray:
-        """int q f_j dx for every j at the current coefficients."""
-        return self.F.T @ self.weights(alpha)
-
 
 def _moment_penalty(moments: SpectralMoments, config: SolverConfig) -> np.ndarray:
     """Squared standard error of each moment estimate, times config.ridge."""
     if config.ridge == 0.0 or moments.probes < 2:
         return np.zeros_like(moments.values)
     return config.ridge * moments.variance / moments.probes
-
-
-def _problem(prior, basis, moments: SpectralMoments,
-             config: SolverConfig | None) -> DualProblem:
-    config = config or SolverConfig()
-    return DualProblem(prior, basis, moments.values, config,
-                       penalty=_moment_penalty(moments, config))
-
-
-def dual_objective(alpha, prior, basis, moments: SpectralMoments,
-                   config: SolverConfig | None = None) -> float:
-    return _problem(prior, basis, moments, config).objective(np.asarray(alpha, float))
-
-
-def dual_gradient(alpha, prior, basis, moments: SpectralMoments,
-                  config: SolverConfig | None = None) -> np.ndarray:
-    return _problem(prior, basis, moments, config).gradient(np.asarray(alpha, float))
-
-
-def dual_hessian(alpha, prior, basis, moments: SpectralMoments,
-                 config: SolverConfig | None = None) -> np.ndarray:
-    return _problem(prior, basis, moments, config).hessian(np.asarray(alpha, float))
 
 
 def _newton_step(H: np.ndarray, g: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -308,7 +295,8 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     config = config or SolverConfig()
     if abs(moments.values[0] - 1.0) > 1e-8:
         raise ValueError("mu_0 must equal 1 (normalized spectral measure)")
-    problem = _problem(prior, moments.basis, moments, config)
+    problem = DualProblem(prior, moments.basis, moments.values, config,
+                          penalty=_moment_penalty(moments, config))
     alpha = np.zeros(moments.basis.order + 1)
     we = problem.weights(alpha)
     S = problem._objective(alpha, we)
@@ -337,20 +325,21 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
         alpha, we, S = trial, we_trial, S_trial
     density = SurrogateDensity(prior=prior, basis=moments.basis, alpha=alpha)
     return SolveResult(density=density, iterations=iterations, grad_norm=gnorm,
-                       objective=S, converged=gnorm < config.gtol)
+                       objective=S, converged=gnorm < config.gtol,
+                       log_expectation=_log_expectation(problem.nodes, we))
 
 
 def integrate_log_expectation(q: SurrogateDensity,
                               config: SolverConfig | None = None) -> float:
-    """int q(x) log(x) dx on [floor, 1] with panels clustered at 0.
+    """int q(x) log(x) dx on the solver's grid for `config`, clamped at 0.
 
-    Uses the same grid family as the solver so the density is only
+    The grid is the one `solve` integrates on, so the density is only
     evaluated where its moments were constrained; a fitted exponent
     polynomial is not trustworthy off that grid when coefficients are
-    large (near-point-mass spectra).
+    large (near-point-mass spectra). The weights are formed as
+    `DualProblem.weights` forms them, so for the density and config of a
+    solve this equals its `log_expectation` bit for bit.
     """
-    config = config or SolverConfig()
-    floor = max(q.prior.support_floor, config.floor)
-    nodes, w = quadrature_grid(floor, config.panels, config.nodes_per_panel)
-    val = float((w * q.density(nodes)) @ np.log(nodes))
-    return min(val, 0.0)
+    nodes, wq0 = _prior_grid(q.prior, config or SolverConfig())
+    F = q.basis.vandermonde(nodes)
+    return _log_expectation(nodes, wq0 * np.exp(-(1.0 + F @ q.alpha)))

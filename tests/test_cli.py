@@ -22,6 +22,11 @@ def write_diag124(tmp_path):
     return str(path)
 
 
+def assert_one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, as RFC 8259 parsers do."""
     def reject(name):
@@ -172,22 +177,23 @@ class TestMoments:
 
         monkeypatch.setattr(cli, "_load_operator", no_load)
         assert main(["moments", "--identity", "5", *flag]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(capsys.readouterr())
 
 
 class TestBench:
     def test_empty_methods_is_usage_error(self, capsys):
         code = main(["bench", "--lengthscales", "0.5", "--methods", ""])
         assert code == 2
+        assert_one_error_line(capsys.readouterr())
 
     def test_unknown_method_is_usage_error(self, capsys):
         code = main(["bench", "--lengthscales", "0.5", "--methods", "maxent,qr"])
         assert code == 2
+        assert_one_error_line(capsys.readouterr())
 
     def test_no_cases_is_usage_error(self, capsys):
         assert main(["bench"]) == 2
+        assert_one_error_line(capsys.readouterr())
 
     def test_out_of_range_flag_is_usage_error_before_any_case(self, monkeypatch, capsys):
         def no_case(*args):
@@ -195,9 +201,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "se_kernel", no_case)
         assert main(["bench", "--lengthscales", "0.5", "-d", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize("flags", [
         ["--lengthscales", "abc"],
@@ -213,9 +217,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "se_kernel", no_case)
         assert main(["bench", *flags]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-directory", "a-directory"])
     def test_unwritable_csv_is_usage_error_before_any_estimate(self, target, tmp_path,
@@ -227,9 +229,7 @@ class TestBench:
         code = main(["bench", "--lengthscales", "0.5", "--n", "20",
                      "--csv", str(tmp_path / target)])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize("methods", ["maxent,taylor,lanczos", "taylor,exact"])
     def test_oracle_and_kappa_run_once_per_case(self, methods, monkeypatch, capsys):
@@ -255,6 +255,16 @@ class TestBench:
         want = logdet_exact(se_kernel(KernelSpec(n=40, lengthscale=0.5, input_scale=0.21)))
         for r in rows:
             assert float(r["exact"]) == want and r["kappa"] != ""
+
+    def test_kappa_on_indefinite_file_is_recorded(self, tmp_path, capsys):
+        path = tmp_path / "indefinite.mtx"
+        write_matrix_market(DenseOperator(np.diag([-1.0, 8.0])), path)
+        assert main(["bench", str(path), "--kappa", "-m", "4", "-d", "2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["method"] for r in rows] == ["maxent", "chebyshev", "lanczos"]
+        for r in rows:
+            assert r["kappa"] == "" and r["estimate"] == ""
+            assert "not positive definite" in r["error"]
 
     def test_sweep_shape(self, tmp_path, capsys):
         # 9 lengthscales x 3 methods mirrors the dense benchmark table

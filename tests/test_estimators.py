@@ -1,6 +1,7 @@
 """End-to-end estimators against the Cholesky oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from specdet.linop import (DenseOperator, LinearOperator, NormalizedOperator,
                            SparseOperator, gershgorin_upper_bound, identity,
                            normalize)
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
-                            SpectralMoments, estimate_moments, probe_matrix)
+                            SpectralMoments, estimate_moments, moments_to_power,
+                            probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
 
 LN8 = np.log(8.0)
@@ -121,11 +123,35 @@ class TestMaxent:
 
         def log_expectation(moments):
             prior = estimators._choose_prior(cfg, moments)
-            result = maxent.solve(moments, prior, cfg.solver)
-            return maxent.integrate_log_expectation(result.density, cfg.solver)
+            return maxent.solve(moments, prior, cfg.solver).log_expectation
 
         a, b = (op.n * (log_expectation(x) + np.log(lam_u)) for x in (mom, bumped))
         assert abs(b - a) <= 1e-10 * abs(a)
+
+    @pytest.mark.parametrize("op, cfg", [
+        (se_kernel(KernelSpec(n=256, lengthscale=0.65, noise=1e-8, seed=2)),
+         EstimatorConfig(m=30, d=30, seed=5, min_eigenvalue=1e-8)),
+        (diag124(), EstimatorConfig(m=10, d=4, seed=0)),
+    ], ids=["se-kernel-min-eig", "diag-no-hint"])
+    def test_replay_from_public_functions_is_bit_identical(self, op, cfg):
+        # the benchmark replays logdet_maxent from these public calls, in this
+        # order, and counts the estimate as wrong unless the values match exactly
+        lam_u = gershgorin_upper_bound(op)
+        moments = estimate_moments(NormalizedOperator(op, lam_u),
+                                   MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
+        p = moments_to_power(moments)
+        try:
+            prior = maxent.fit_beta_prior(float(p.values[1]), float(p.values[2]))
+        except (maxent.DegenerateSpectrumError, ValueError):
+            prior = maxent.UniformPrior()
+        solver = cfg.solver
+        if cfg.min_eigenvalue is not None and cfg.min_eigenvalue > 0.0:
+            solver = replace(solver, floor=max(solver.floor, cfg.min_eigenvalue / lam_u))
+        result = maxent.solve(moments, prior, solver)
+        log_expect = maxent.integrate_log_expectation(result.density, solver)
+        assert log_expect == result.log_expectation
+        value = float(op.n * log_expect + op.n * np.log(lam_u))
+        assert value == logdet_maxent(op, cfg).value
 
     def test_prior_choice_validation(self):
         with pytest.raises(ValueError, match="unknown prior"):
@@ -322,6 +348,12 @@ class TestConditionNumber:
 
     def test_diagonal(self):
         assert condition_number_estimate(diag124()) == pytest.approx(4.0, rel=1e-6)
+
+    @pytest.mark.parametrize("factor_guard", [20_000, 1], ids=["cholesky", "shifted-proxy"])
+    def test_indefinite_refused(self, factor_guard):
+        op = DenseOperator(np.diag([-1.0, 8.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            condition_number_estimate(op, factor_guard=factor_guard)
 
     def test_kernel_order_of_magnitude(self):
         # l = 0.33 sits in the 1e7 regime at the default input spread
