@@ -72,18 +72,23 @@ def _parse_kernel_spec(text: str, seed: int) -> KernelSpec:
     return KernelSpec(**kwargs)
 
 
+def _case(source: KernelSpec | str) -> tuple:
+    """(operator, dataset label, lengthscale or None, min-eig hint) of a spec or .mtx path."""
+    if isinstance(source, KernelSpec):  # its diagonal jitter bounds the spectrum below
+        return (se_kernel(source), f"se-kernel-l={source.lengthscale}",
+                source.lengthscale, source.noise)
+    return read_matrix_market(source), source, None, None
+
+
 def _load_operator(args) -> tuple:
-    """Returns (operator, dataset label, lengthscale or None, min-eig hint)."""
+    """The `_case` of the one source flag given; --identity has no hints."""
     sources = [s for s in (args.mtx, args.se_kernel, args.identity) if s is not None]
     if len(sources) != 1:
         raise ValueError("exactly one of --mtx, --se-kernel, --identity is required")
-    if args.mtx is not None:
-        return read_matrix_market(args.mtx), args.mtx, None, None
     if args.identity is not None:
         return identity(args.identity), f"identity-{args.identity}", None, None
-    spec = _parse_kernel_spec(args.se_kernel, args.seed)
-    # the diagonal jitter is a certified lower bound on the spectrum
-    return se_kernel(spec), f"se-kernel-l={spec.lengthscale}", spec.lengthscale, spec.noise
+    return _case(args.mtx if args.mtx is not None
+                 else _parse_kernel_spec(args.se_kernel, args.seed))
 
 
 def _estimator_config(args, min_eig_hint: float | None = None) -> EstimatorConfig:
@@ -260,11 +265,10 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    cases = [(se_kernel(spec), f"se-kernel-l={spec.lengthscale}", spec.lengthscale, spec.noise)
-             for spec in specs]
+    cases = [_case(spec) for spec in specs]
     for path in args.files:
         try:
-            cases.append((read_matrix_market(path), path, None, None))
+            cases.append(_case(path))
         except (OSError, ValueError) as exc:
             print(f"error reading {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE

@@ -1,9 +1,9 @@
 """End-to-end log-determinant estimators.
 
-All stochastic methods share the same pipeline skeleton: rescale the
-operator by its Gershgorin bound so the spectrum sits in (0, 1], probe it
-with Rademacher vectors, and integrate log against some spectral
-summary. The maxent estimator fits a moment-constrained surrogate
+All stochastic methods run one body, `_estimate`: rescale the operator
+by its Gershgorin bound lambda_u so the spectrum sits in (0, 1], and return
+n log lambda_u + n E[log lambda]; a method only supplies its estimate of
+E[log lambda] over the rescaled spectrum, made from Rademacher probes. The maxent estimator fits a moment-constrained surrogate
 density; Taylor, Chebyshev-interpolation, and stochastic Lanczos
 quadrature are the classical baselines; a Cholesky oracle provides exact
 values for verification on matrices that fit in O(n^3).
@@ -20,8 +20,7 @@ import scipy.linalg
 
 from . import maxent
 from .linop import LinearOperator, NormalizedOperator, gershgorin_upper_bound, normalize
-from .maxent import (BetaPrior, DegenerateSpectrumError, SolverConfig,
-                     UniformPrior, fit_beta_prior)
+from .maxent import DegenerateSpectrumError, SolverConfig, UniformPrior, fit_beta_prior
 from .probes import (CHEBYSHEV, MomentBasis, estimate_moments, moments_to_power,
                      probe_matrix)
 
@@ -95,49 +94,49 @@ def _choose_prior(cfg: EstimatorConfig, moments) -> maxent.PriorSpec:
         return UniformPrior()
 
 
-def logdet_maxent(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
-    """Moment-constrained maximum-entropy estimate of the log determinant."""
+def _estimate(method: str, op: LinearOperator, cfg: EstimatorConfig | None,
+              log_mean) -> LogDetEstimate:
+    """n log lambda_u + n E[log lambda] on B = op / lambda_u, timed.
+
+    `log_mean(B, cfg)` returns E[log lambda] over B's spectrum and the solver fields it sets.
+    """
     cfg = cfg or EstimatorConfig()
-    if cfg.m < 2 and cfg.prior != "uniform":
-        raise ValueError("prior fitting needs at least two moments")
     t0 = time.perf_counter()
     B = normalize(op)
-    lam_u = B.lambda_u
-    basis = MomentBasis(cfg.basis, cfg.m)
-    moments = estimate_moments(B, basis, cfg.d, cfg.seed)
+    mean, solver_fields = log_mean(B, cfg)
+    return LogDetEstimate(
+        value=float(op.n * mean + op.n * np.log(B.lambda_u)), method=method,
+        lambda_u=B.lambda_u, m=cfg.m, d=cfg.d, seed=cfg.seed,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3, **solver_fields)
+
+
+def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
+    if cfg.m < 2 and cfg.prior != "uniform":
+        raise ValueError("prior fitting needs at least two moments")
+    moments = estimate_moments(B, MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
     prior = _choose_prior(cfg, moments)
     solver = cfg.solver
     if cfg.min_eigenvalue is not None and cfg.min_eigenvalue > 0.0:
-        solver = replace(solver, floor=max(solver.floor, cfg.min_eigenvalue / lam_u))
+        solver = replace(solver, floor=max(solver.floor, cfg.min_eigenvalue / B.lambda_u))
     result = maxent.solve(moments, prior, solver)
-    value = op.n * result.log_expectation + op.n * np.log(lam_u)
-    return LogDetEstimate(
-        value=float(value), method="maxent", lambda_u=lam_u,
-        m=cfg.m, d=cfg.d, seed=cfg.seed,
-        iterations=result.iterations, grad_norm=result.grad_norm,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        converged=result.converged,
-    )
+    return result.log_expectation, dict(iterations=result.iterations,
+                                        grad_norm=result.grad_norm, converged=result.converged)
 
 
-def _chebyshev_series_logdet(op: LinearOperator, cfg: EstimatorConfig, method: str,
-                             c: np.ndarray) -> LogDetEstimate:
-    """n log lambda_u + n sum_k c_k (mu_k - 1) on the Chebyshev moments of B.
+def logdet_maxent(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
+    """Moment-constrained maximum-entropy estimate of the log determinant."""
+    return _estimate("maxent", op, cfg, _maxent_log_mean)
+
+
+def _chebyshev_series_log_mean(B: NormalizedOperator, cfg: EstimatorConfig, c: np.ndarray):
+    """sum_k c_k (mu_k - 1) on the Chebyshev moments of B.
 
     sum_k c_k T_k(2x - 1) approximates log x and vanishes at x = 1, so
     subtracting 1 from every moment changes nothing in exact arithmetic
     and makes a spectrum sitting at 1 (the identity) give exactly 0.
     """
-    t0 = time.perf_counter()
-    B = normalize(op)
-    lam_u = B.lambda_u
     mu = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed).values
-    value = float(op.n * np.log(lam_u) + op.n * (c @ (mu - 1.0)))
-    return LogDetEstimate(
-        value=value, method=method, lambda_u=lam_u,
-        m=cfg.m, d=cfg.d, seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return c @ (mu - 1.0), {}
 
 
 @functools.cache
@@ -161,8 +160,8 @@ def logdet_taylor(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Log
     log determinant; the implied surrogate density is not a probability
     density, which is why this is a baseline rather than a recommendation.
     """
-    cfg = cfg or EstimatorConfig()
-    return _chebyshev_series_logdet(op, cfg, "taylor", _taylor_log_coefficients(cfg.m))
+    return _estimate("taylor", op, cfg, lambda B, cfg: _chebyshev_series_log_mean(
+        B, cfg, _taylor_log_coefficients(cfg.m)))
 
 
 @functools.cache
@@ -186,9 +185,8 @@ def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> 
     a = cfg.cheb_floor; eigenvalues below a are extrapolated, which is the
     documented weakness of this baseline on ill-conditioned matrices.
     """
-    cfg = cfg or EstimatorConfig()
-    return _chebyshev_series_logdet(op, cfg, "chebyshev",
-                                    _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor))
+    return _estimate("chebyshev", op, cfg, lambda B, cfg: _chebyshev_series_log_mean(
+        B, cfg, _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor)))
 
 
 # Lanczos basis bytes one block of probes may always hold. A block may hold
@@ -205,7 +203,8 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
     step, each with one-pass full reorthogonalization against its own
     basis. A column whose beta falls below 1e-12 has reached an invariant
     subspace: it stops there, which is exact, and its later vectors are
-    zero. The loop ends once every column has stopped.
+    zero. The loop ends once every column has stopped. A Ritz value below
+    -sqrt(eps) theta_max raises NotPositiveDefiniteError.
     """
     n, b = Z.shape
     Q = np.zeros((b, m, n))  # Q[i, j] is the j-th Lanczos vector of column i
@@ -238,10 +237,24 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
     out = np.empty(b)
     for i, s in enumerate(steps):
         theta, V = scipy.linalg.eigh_tridiagonal(alphas[i, :s], betas[i, : s - 1])
-        # roundoff can push a Ritz value of a near-singular B nonpositive
+        # a Ritz value is a Rayleigh quotient of B: one well below 0 proves B
+        # indefinite; roundoff can push one of a near-singular B just below 0
+        if theta.min() < -np.sqrt(np.finfo(float).eps) * theta.max():
+            raise NotPositiveDefiniteError(f"Lanczos Ritz value {theta.min():.3g} of the "
+                                           "normalized matrix: not positive definite")
         theta = np.maximum(theta, np.finfo(float).eps * theta.max())
         out[i] = V[0, :] ** 2 @ np.log(theta)
     return out
+
+
+def _lanczos_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
+    m = min(cfg.m, B.n)
+    width = max(1, max(_BASIS_BYTES, B.inner.nbytes) // (8 * m * B.n))
+    Z = probe_matrix(B.n, cfg.d, cfg.seed)
+    per_probe = np.concatenate([
+        _lanczos_log_quadrature(B, block, m)
+        for block in np.array_split(Z, -(-cfg.d // width), axis=1)])
+    return per_probe.mean(), {}
 
 
 def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
@@ -252,22 +265,7 @@ def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Lo
     and the operator's own storage (`op.nbytes`) unless a single probe's
     basis does.
     """
-    cfg = cfg or EstimatorConfig()
-    t0 = time.perf_counter()
-    B = normalize(op)
-    lam_u = B.lambda_u
-    m = min(cfg.m, op.n)
-    width = max(1, max(_BASIS_BYTES, op.nbytes) // (8 * m * op.n))
-    Z = probe_matrix(op.n, cfg.d, cfg.seed)
-    per_probe = np.concatenate([
-        _lanczos_log_quadrature(B, block, m)
-        for block in np.array_split(Z, -(-cfg.d // width), axis=1)])
-    value = float(op.n * per_probe.mean() + op.n * np.log(lam_u))
-    return LogDetEstimate(
-        value=value, method="lanczos", lambda_u=lam_u,
-        m=cfg.m, d=cfg.d, seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return _estimate("lanczos", op, cfg, _lanczos_log_mean)
 
 
 def condition_number_estimate(op: LinearOperator, iterations: int = 200,
@@ -315,28 +313,27 @@ def condition_number_estimate(op: LinearOperator, iterations: int = 200,
     return float(lam_max / lam_min)
 
 
+def _exact_estimate(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
+    """The Cholesky oracle as an estimate; it needs no bound and no probes."""
+    t0 = time.perf_counter()
+    return LogDetEstimate(value=logdet_exact(op), method="exact", lambda_u=float("nan"),
+                          m=0, d=0, seed=(cfg or EstimatorConfig()).seed,
+                          wall_time_ms=(time.perf_counter() - t0) * 1e3)
+
+
 _METHODS = {
     "maxent": logdet_maxent,
     "taylor": logdet_taylor,
     "chebyshev": logdet_chebyshev,
     "lanczos": logdet_lanczos,
+    "exact": _exact_estimate,
 }
-METHODS = (*_METHODS, "exact")
+METHODS = tuple(_METHODS)
 
 
 def estimate_logdet(op: LinearOperator, method: str,
                     cfg: EstimatorConfig | None = None) -> LogDetEstimate:
-    """Dispatch by method name; `exact` wraps the Cholesky oracle."""
-    cfg = cfg or EstimatorConfig()
-    if method == "exact":
-        t0 = time.perf_counter()
-        value = logdet_exact(op)
-        return LogDetEstimate(value=value, method="exact", lambda_u=float("nan"),
-                              m=0, d=0, seed=cfg.seed,
-                              wall_time_ms=(time.perf_counter() - t0) * 1e3)
-    try:
-        fn = _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; expected one of "
-                         f"{list(METHODS)}") from None
-    return fn(op, cfg)
+    """Dispatch by method name through the method table."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
+    return _METHODS[method](op, cfg)

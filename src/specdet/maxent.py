@@ -32,6 +32,10 @@ from scipy.special import betaln
 from .probes import MomentBasis, SpectralMoments
 
 _EXP_LIMIT = 700.0  # exp overflow guard for float64
+_MAX_ITER = 500  # Newton iterations before the solve stops unconverged
+_PANELS = 30  # geometric Gauss-Legendre panels toward each end of (0, 1)
+_NODES_PER_PANEL = 16
+_RIDGE = 1.0  # multiplier on the per-moment squared-standard-error penalty
 
 
 class DegenerateSpectrumError(ValueError):
@@ -106,11 +110,7 @@ class SolverConfig:
     gtol: float = 1e-6
     jitter: float = 1e-8
     max_jitter: float = 1e-2
-    max_iter: int = 500
-    panels: int = 30
-    nodes_per_panel: int = 16
     floor: float = 1e-14  # quadrature lower endpoint when the prior allows mass there
-    ridge: float = 1.0  # multiplier on the per-moment squared-standard-error penalty
 
     def __post_init__(self):
         if self.gtol <= 0:
@@ -118,8 +118,6 @@ class SolverConfig:
         # a jitter of 0 never escalates, so a failing factorization would loop
         if not (0.0 < self.jitter <= self.max_jitter):
             raise ValueError("jitter must be positive and at most max_jitter")
-        if self.nodes_per_panel < 2:
-            raise ValueError("need at least 2 nodes per panel")
 
 
 @dataclass
@@ -184,7 +182,7 @@ def quadrature_grid(floor: float, panels: int, nodes_per_panel: int,
 def _prior_grid(prior: PriorSpec, config: SolverConfig):
     """Quadrature nodes on [max(prior floor, config.floor), 1) and w * q0 there."""
     floor = max(prior.support_floor, config.floor)
-    nodes, w = quadrature_grid(floor, config.panels, config.nodes_per_panel)
+    nodes, w = quadrature_grid(floor, _PANELS, _NODES_PER_PANEL)
     return nodes, w * prior.density(nodes)
 
 
@@ -252,11 +250,11 @@ class DualProblem:
         return self._hessian(self.weights(alpha))
 
 
-def _moment_penalty(moments: SpectralMoments, config: SolverConfig) -> np.ndarray:
-    """Squared standard error of each moment estimate, times config.ridge."""
-    if config.ridge == 0.0 or moments.probes < 2:
+def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
+    """Squared standard error of each moment estimate, times _RIDGE."""
+    if moments.probes < 2:
         return np.zeros_like(moments.values)
-    return config.ridge * moments.variance / moments.probes
+    return _RIDGE * moments.variance / moments.probes
 
 
 def _newton_step(H: np.ndarray, g: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -296,14 +294,14 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     if abs(moments.values[0] - 1.0) > 1e-8:
         raise ValueError("mu_0 must equal 1 (normalized spectral measure)")
     problem = DualProblem(prior, moments.basis, moments.values, config,
-                          penalty=_moment_penalty(moments, config))
+                          penalty=_moment_penalty(moments))
     alpha = np.zeros(moments.basis.order + 1)
     we = problem.weights(alpha)
     S = problem._objective(alpha, we)
-    for iterations in range(config.max_iter + 1):
+    for iterations in range(_MAX_ITER + 1):
         g = problem._gradient(alpha, we)
         gnorm = float(np.abs(g).max())
-        if gnorm < config.gtol or iterations == config.max_iter:
+        if gnorm < config.gtol or iterations == _MAX_ITER:
             break
         step = _newton_step(problem._hessian(we), g, config)
         slope = g @ step

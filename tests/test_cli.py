@@ -22,9 +22,9 @@ def write_diag124(tmp_path):
     return str(path)
 
 
-def assert_one_error_line(captured):
+def assert_one_error_line(captured, prefix="error: "):
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
 
 
 def strict_json(text):
@@ -84,32 +84,50 @@ class TestEstimate:
 
     def test_missing_source_is_parse_error(self, capsys):
         assert main(["estimate", "--method", "exact"]) == 3
+        assert_one_error_line(capsys.readouterr())
 
     def test_two_sources_is_parse_error(self, tmp_path, capsys):
         code = main(["estimate", "--identity", "5",
                      "--mtx", write_diag124(tmp_path)])
         assert code == 3
+        assert_one_error_line(capsys.readouterr())
 
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["estimate", "--mtx", "/does/not/exist.mtx"]) == 3
+        assert_one_error_line(capsys.readouterr())
 
     def test_malformed_file_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text("not a matrix market file\n")
         assert main(["estimate", "--mtx", str(bad)]) == 3
+        assert_one_error_line(capsys.readouterr())
 
     def test_not_positive_definite_is_numerical_error(self, tmp_path, capsys):
         path = tmp_path / "indef.mtx"
         write_matrix_market(DenseOperator(np.diag([1.0, -1.0])), path)
         assert main(["estimate", "--mtx", str(path), "--method", "exact"]) == 4
+        assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
 
-    def test_bad_method_is_usage_error(self):
+    def test_indefinite_lanczos_is_numerical_error(self, tmp_path, capsys):
+        # five eigenvalues at -0.05 among 200: a negative Ritz value shows it
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        lam = rng.uniform(0.1, 1.0, 200)
+        lam[:5] = -0.05
+        path = tmp_path / "indef.mtx"
+        write_matrix_market(DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True), path)
+        assert main(["estimate", "--mtx", str(path), "--method", "lanczos"]) == 4
+        assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
+
+    def test_bad_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--identity", "5", "--method", "qr"])
         assert exc.value.code == 2
+        assert "invalid choice: 'qr'" in capsys.readouterr().err
 
     def test_bad_kernel_key_is_parse_error(self, capsys):
         assert main(["estimate", "--se-kernel", "n=10,q=3"]) == 3
+        assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize("flag", [("--gtol", "0"), ("--jitter", "0"),
                                       ("-m", "0"), ("-d", "0")],
@@ -121,11 +139,13 @@ class TestEstimate:
 
     def test_empty_identity_is_parse_error(self, capsys):
         assert main(["estimate", "--identity", "0"]) == 3
+        assert_one_error_line(capsys.readouterr())
 
     def test_empty_mtx_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "empty.mtx"
         path.write_text(IDENTITY_HEADER + "0 0 0\n")
         assert main(["estimate", "--mtx", str(path)]) == 3
+        assert_one_error_line(capsys.readouterr())
 
     def test_huge_finite_diagonal_is_estimated(self, tmp_path, capsys):
         path = tmp_path / "big.mtx"
@@ -160,13 +180,15 @@ class TestMoments:
         # no positive Gershgorin bound to normalize by, as for `estimate`
         path = tmp_path / "zero.mtx"
         path.write_text(IDENTITY_HEADER + "3 3 0\n")
-        assert main(["moments", "--mtx", str(path)]) == 4
-        assert main(["estimate", "--mtx", str(path)]) == 4
+        for command in ("moments", "estimate"):
+            assert main([command, "--mtx", str(path)]) == 4
+            assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
 
-    def test_bad_basis_is_usage_error(self):
+    def test_bad_basis_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--identity", "3", "--basis", "fourier"])
         assert exc.value.code == 2
+        assert "invalid choice: 'fourier'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [("-d", "0"), ("-d", "-3"), ("-m", "-1")],
                              ids=["d=0", "d=-3", "m=-1"])

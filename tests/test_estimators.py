@@ -35,6 +35,15 @@ def random_spd(n, seed, lo=0.05, hi=1.0):
     return DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True)
 
 
+def five_negative_eigenvalues():
+    """200 x 200, eigenvalues uniform on [0.1, 1] except five at -0.05."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    lam = rng.uniform(0.1, 1.0, 200)
+    lam[:5] = -0.05
+    return DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True)
+
+
 class CountingOperator(LinearOperator):
     """Delegates to a dense operator and counts block products."""
 
@@ -259,6 +268,18 @@ class TestLanczos:
         exact = logdet_exact(op)
         assert est.value == pytest.approx(exact, rel=0.05)
 
+    def test_indefinite_refused(self):
+        # a Ritz value near -0.05 / lambda_u proves the matrix indefinite
+        with pytest.raises(NotPositiveDefiniteError, match="Ritz value"):
+            logdet_lanczos(five_negative_eigenvalues(), EstimatorConfig(seed=0))
+
+    def test_round_off_band_is_clamped(self):
+        # a Ritz value above -sqrt(eps) theta_max is round-off, not a proof
+        op = DenseOperator(np.diag([-1e-12, 0.5, 1.0]))
+        est = logdet_lanczos(op, EstimatorConfig(m=3, d=4, seed=0))
+        eps = np.finfo(float).eps
+        assert est.value == pytest.approx(np.log(eps) + np.log(0.5), rel=1e-6)
+
 
 class TestBatchedLanczos:
     """All probes of a block share one product per Lanczos step."""
@@ -372,15 +393,19 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown method"):
             estimate_logdet(diag124(), "qr")
 
-    def test_all_stochastic_methods_run(self):
+    @pytest.mark.parametrize("method", estimators.METHODS)
+    def test_all_stochastic_methods_run(self, method):
         op = random_spd(40, 11, lo=0.3)
         exact = logdet_exact(op)
-        cfg = EstimatorConfig(m=15, d=20, seed=0)
-        for method in ("maxent", "taylor", "chebyshev", "lanczos"):
-            est = estimate_logdet(op, method, cfg)
-            assert est.method == method
-            assert np.isfinite(est.value)
-            assert abs(est.value - exact) / abs(exact) < 0.5
+        cfg = EstimatorConfig(m=15, d=20, seed=4)
+        est = estimate_logdet(op, method, cfg)
+        assert est.method == method
+        assert np.isfinite(est.value)
+        assert abs(est.value - exact) / abs(exact) < 0.5
+        # the oracle draws no probes and has no moment order
+        want = (0, 0, 4) if method == "exact" else (15, 20, 4)
+        assert (est.m, est.d, est.seed) == want
+        assert est.wall_time_ms > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

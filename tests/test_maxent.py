@@ -148,7 +148,7 @@ class TestDualGradient:
         alpha = np.array([0.2, -0.3, 0.5])
         plain = DualProblem(UniformPrior(), basis, mom.values).gradient(alpha)
         g = DualProblem(UniformPrior(), basis, mom.values,
-                        penalty=_moment_penalty(mom, SolverConfig())).gradient(alpha)
+                        penalty=_moment_penalty(mom)).gradient(alpha)
         penalty = np.array([0.0, 0.1, 0.4]) / 10.0  # variance / probes
         assert np.allclose(g - plain, penalty * alpha)
 
