@@ -6,13 +6,13 @@ and stochastic Lanczos quadrature baselines and an exact Cholesky oracle.
 """
 
 from .estimators import (EstimatorConfig, LogDetEstimate,
-                         NotPositiveDefiniteError, condition_number_estimate,
-                         estimate_logdet, logdet_chebyshev, logdet_exact,
-                         logdet_lanczos, logdet_maxent, logdet_taylor)
+                         condition_number_estimate, estimate_logdet,
+                         logdet_chebyshev, logdet_exact, logdet_lanczos,
+                         logdet_maxent, logdet_taylor)
 from .linop import (DenseOperator, LinearOperator, MatrixMarketError,
-                    NormalizedOperator, SparseOperator, gershgorin_upper_bound,
-                    identity, normalize, read_matrix_market,
-                    write_matrix_market)
+                    NormalizedOperator, NotPositiveDefiniteError,
+                    SparseOperator, gershgorin_upper_bound, identity,
+                    normalize, read_matrix_market, write_matrix_market)
 from .maxent import (BetaPrior, DegenerateSpectrumError, SolverConfig,
                      SurrogateDensity, UniformPrior, fit_beta_prior,
                      integrate_log_expectation, solve)

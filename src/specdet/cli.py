@@ -12,16 +12,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
-import numpy as np
-
-from .estimators import (METHODS, EstimatorConfig, NotPositiveDefiniteError,
-                         condition_number_estimate, estimate_logdet,
-                         logdet_exact)
+from .estimators import (METHODS, PRIORS, EstimatorConfig, condition_number_estimate,
+                         estimate_logdet, logdet_exact)
 from .linop import identity, normalize, read_matrix_market
 from .maxent import SolverConfig
-from .probes import MomentBasis, estimate_moments
+from .probes import BASIS_KINDS, MomentBasis, estimate_moments
 from .synth import KernelSpec, se_kernel
 
 EXIT_OK = 0
@@ -31,7 +28,7 @@ EXIT_NUMERICAL = 4
 EXIT_NONCONVERGED = 5
 
 # what an estimate can raise on input that parsed but cannot be estimated
-_NUMERICAL_ERRORS = (NotPositiveDefiniteError, ValueError, RuntimeError, OverflowError)
+_NUMERICAL_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 
 @dataclass
@@ -55,7 +52,8 @@ CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
 
 
 def _parse_kernel_spec(text: str, seed: int) -> KernelSpec:
-    kwargs = {"n": 1000, "dim": 6, "lengthscale": 0.5, "seed": seed}
+    """The KernelSpec of `KEY=VAL,...`; n is 1000 and the seed `seed` unless given."""
+    kwargs = {"n": 1000, "seed": seed}
     for item in text.split(","):
         if not item:
             continue
@@ -105,26 +103,31 @@ def _usage_error(message) -> int:
     return EXIT_USAGE
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser, probes: int):
-    p.add_argument("-m", "--moments", type=int, default=30)
+def _add_kernel_flag(p: argparse.ArgumentParser):
+    p.add_argument("--se-kernel", metavar="KEY=VAL[,KEY=VAL...]",
+                   help="synthetic SE kernel, keys: n,dim,l,noise,scale,seed")
+
+
+def _add_source_flags(p: argparse.ArgumentParser):
+    p.add_argument("--mtx", metavar="PATH", help="coordinate symmetric Matrix Market file")
+    _add_kernel_flag(p)
+    p.add_argument("--identity", type=int, metavar="N", help="identity matrix of size N")
+
+
+def _add_moment_flags(p: argparse.ArgumentParser, probes: int = EstimatorConfig.d):
+    p.add_argument("-m", "--moments", type=int, default=EstimatorConfig.m)
     p.add_argument("-d", "--probes", type=int, default=probes)
-    p.add_argument("--basis", choices=("power", "chebyshev", "legendre"),
-                   default="chebyshev")
-    p.add_argument("--prior", choices=("uniform", "beta", "auto"), default="auto")
-    p.add_argument("--gtol", type=float, default=1e-6)
-    p.add_argument("--jitter", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--basis", choices=BASIS_KINDS, default=EstimatorConfig.basis)
+    p.add_argument("--seed", type=int, default=EstimatorConfig.seed)
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    p.add_argument("--prior", choices=PRIORS, default=EstimatorConfig.prior)
+    p.add_argument("--gtol", type=float, default=SolverConfig.gtol)
+    p.add_argument("--jitter", type=float, default=SolverConfig.jitter)
     p.add_argument("--min-eig", type=float, default=None, metavar="LAMBDA",
                    help="known lower bound on the spectrum (defaults to the "
                         "diagonal noise for synthetic kernels)")
-
-
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mtx", metavar="PATH", help="coordinate symmetric Matrix Market file")
-    p.add_argument("--se-kernel", metavar="KEY=VAL[,KEY=VAL...]",
-                   help="synthetic SE kernel, keys: n,dim,l,noise,scale,seed")
-    p.add_argument("--identity", type=int, metavar="N", help="identity matrix of size N")
-    _add_estimator_flags(p, probes=30)
 
 
 def _rel_error(est: float, exact: float) -> float:
@@ -258,8 +261,8 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
     try:
-        specs = [KernelSpec(n=args.n, dim=args.dim, lengthscale=float(l), seed=args.seed,
-                            input_scale=args.input_scale)
+        spec = _parse_kernel_spec(args.se_kernel or "", args.seed)
+        specs = [replace(spec, lengthscale=float(l))
                  for l in args.lengthscales.split(",")] if args.lengthscales else []
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -298,24 +301,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate one log determinant")
-    _add_common_flags(p_est)
+    _add_source_flags(p_est)
+    _add_moment_flags(p_est)
+    _add_solver_flags(p_est)
     p_est.add_argument("--method", choices=METHODS, default="maxent")
     p_est.add_argument("--json", action="store_true")
     p_est.set_defaults(fn=cmd_logdet)
 
     p_mom = sub.add_parser("moments", help="print estimated spectral moments")
-    _add_common_flags(p_mom)
+    _add_source_flags(p_mom)
+    _add_moment_flags(p_mom)
     p_mom.add_argument("--json", action="store_true")
     p_mom.set_defaults(fn=cmd_moments)
 
     p_bench = sub.add_parser("bench", help="benchmark sweep to CSV")
     p_bench.add_argument("files", nargs="*", help="Matrix Market files")
-    p_bench.add_argument("--lengthscales", help="comma list of SE-kernel lengthscales")
-    p_bench.add_argument("--n", type=int, default=1000)
-    p_bench.add_argument("--dim", type=int, default=6)
-    p_bench.add_argument("--input-scale", type=float, default=0.21)
+    _add_kernel_flag(p_bench)
+    p_bench.add_argument("--lengthscales",
+                         help="comma list of lengthscales, each replacing --se-kernel's l")
     p_bench.add_argument("--methods", default="maxent,chebyshev,lanczos")
-    _add_estimator_flags(p_bench, probes=50)
+    _add_moment_flags(p_bench, probes=50)
+    _add_solver_flags(p_bench)
     p_bench.add_argument("--kappa", action="store_true",
                          help="estimate condition numbers (slow)")
     p_bench.add_argument("--exact-guard", type=int, default=5000,

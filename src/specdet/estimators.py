@@ -19,14 +19,16 @@ import numpy as np
 import scipy.linalg
 
 from . import maxent
-from .linop import LinearOperator, NormalizedOperator, gershgorin_upper_bound, normalize
+from .linop import (LinearOperator, NormalizedOperator, NotPositiveDefiniteError,
+                    gershgorin_upper_bound, normalize)
 from .maxent import DegenerateSpectrumError, SolverConfig, UniformPrior, fit_beta_prior
-from .probes import (CHEBYSHEV, MomentBasis, estimate_moments, moments_to_power,
-                     probe_matrix)
+from .probes import (BASIS_KINDS, CHEBYSHEV, MomentBasis, estimate_moments,
+                     moments_to_power, probe_matrix)
 
-
-class NotPositiveDefiniteError(ValueError):
-    pass
+PRIORS = ("uniform", "beta", "auto")
+_CHEB_FLOOR = 1e-6  # lower endpoint of the Chebyshev log-interpolation interval
+_FACTOR_GUARD = 20_000  # largest n the oracle and the condition number factor
+_POWER_ITERATIONS = 200  # per power iteration of the condition-number estimate
 
 
 @dataclass
@@ -34,10 +36,9 @@ class EstimatorConfig:
     m: int = 30
     d: int = 30
     seed: int = 0
-    basis: str = CHEBYSHEV
-    prior: str = "auto"  # uniform | beta | auto
+    basis: str = CHEBYSHEV  # one of probes.BASIS_KINDS
+    prior: str = "auto"  # one of PRIORS
     solver: SolverConfig = field(default_factory=SolverConfig)
-    cheb_floor: float = 1e-6  # lower endpoint of the log-interpolation interval
     # Known lower bound on the spectrum in original (unnormalized) units,
     # e.g. the diagonal jitter sigma^2 when K = K0 + sigma^2 I with K0 PSD.
     # Tightens the surrogate's support floor; None leaves the solver default.
@@ -46,8 +47,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be >= 1")
-        if self.prior not in ("uniform", "beta", "auto"):
-            raise ValueError(f"unknown prior choice {self.prior!r}")
+        if self.basis not in BASIS_KINDS:
+            raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASIS_KINDS}")
+        if self.prior not in PRIORS:
+            raise ValueError(f"unknown prior choice {self.prior!r}; expected one of {PRIORS}")
 
 
 @dataclass
@@ -64,7 +67,7 @@ class LogDetEstimate:
     converged: bool = True
 
 
-def logdet_exact(op: LinearOperator, max_n: int = 20_000) -> float:
+def logdet_exact(op: LinearOperator, max_n: int = _FACTOR_GUARD) -> float:
     """2 sum log L_ii from the Cholesky factor; O(n^3), guarded by max_n.
 
     The factorization reads one triangle only, so a non-symmetric operator
@@ -182,11 +185,11 @@ def _chebyshev_log_coefficients(m: int, a: float) -> np.ndarray:
 def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
     """Degree-m Chebyshev interpolation of log on [a, 1] applied to B.
 
-    a = cfg.cheb_floor; eigenvalues below a are extrapolated, which is the
+    a = _CHEB_FLOOR; eigenvalues below a are extrapolated, which is the
     documented weakness of this baseline on ill-conditioned matrices.
     """
     return _estimate("chebyshev", op, cfg, lambda B, cfg: _chebyshev_series_log_mean(
-        B, cfg, _chebyshev_log_coefficients(cfg.m, cfg.cheb_floor)))
+        B, cfg, _chebyshev_log_coefficients(cfg.m, _CHEB_FLOOR)))
 
 
 # Lanczos basis bytes one block of probes may always hold. A block may hold
@@ -268,8 +271,8 @@ def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Lo
     return _estimate("lanczos", op, cfg, _lanczos_log_mean)
 
 
-def condition_number_estimate(op: LinearOperator, iterations: int = 200,
-                              seed: int = 0, factor_guard: int = 20_000) -> float:
+def condition_number_estimate(op: LinearOperator, seed: int = 0,
+                              factor_guard: int = _FACTOR_GUARD) -> float:
     """Power-iteration estimate of lambda_max / lambda_min; order-of-magnitude.
 
     lambda_max comes from plain power iteration. lambda_min comes from
@@ -288,7 +291,7 @@ def condition_number_estimate(op: LinearOperator, iterations: int = 200,
         v = rng.standard_normal((n, 1))
         v /= np.linalg.norm(v)
         lam = 0.0
-        for _ in range(iterations):
+        for _ in range(_POWER_ITERATIONS):
             w = apply_fn(v)
             lam = v[:, 0] @ w[:, 0]
             norm = np.linalg.norm(w)

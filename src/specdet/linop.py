@@ -52,6 +52,10 @@ class MatrixMarketError(ValueError):
     """Raised for files that violate the coordinate symmetric contract."""
 
 
+class NotPositiveDefiniteError(ValueError):
+    """Raised when a computation proves the matrix is not positive definite."""
+
+
 class LinearOperator:
     """Base class: square operator of dimension n supporting matmat."""
 
@@ -71,9 +75,6 @@ class LinearOperator:
         return 0
 
     def to_dense(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def diagonal(self) -> np.ndarray:
         raise NotImplementedError
 
     def abs_row_sums(self) -> np.ndarray:
@@ -113,9 +114,6 @@ class DenseOperator(LinearOperator):
 
     def to_dense(self) -> np.ndarray:
         return self.A.copy()
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.A).copy()
 
     def abs_row_sums(self) -> np.ndarray:
         # row blocks of ~256 KB stay in cache instead of allocating all of |A|

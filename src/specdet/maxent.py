@@ -36,6 +36,8 @@ _MAX_ITER = 500  # Newton iterations before the solve stops unconverged
 _PANELS = 30  # geometric Gauss-Legendre panels toward each end of (0, 1)
 _NODES_PER_PANEL = 16
 _RIDGE = 1.0  # multiplier on the per-moment squared-standard-error penalty
+_MAX_JITTER = 1e-2  # Newton-step jitter past which the solve gives up
+_CEIL_GAP = 1e-10  # distance of the last quadrature panel edge from 1
 
 
 class DegenerateSpectrumError(ValueError):
@@ -109,15 +111,14 @@ def fit_beta_prior(mu1: float, mu2: float) -> BetaPrior:
 class SolverConfig:
     gtol: float = 1e-6
     jitter: float = 1e-8
-    max_jitter: float = 1e-2
     floor: float = 1e-14  # quadrature lower endpoint when the prior allows mass there
 
     def __post_init__(self):
         if self.gtol <= 0:
             raise ValueError("gtol must be positive")
         # a jitter of 0 never escalates, so a failing factorization would loop
-        if not (0.0 < self.jitter <= self.max_jitter):
-            raise ValueError("jitter must be positive and at most max_jitter")
+        if not (0.0 < self.jitter <= _MAX_JITTER):
+            raise ValueError(f"jitter must be positive and at most {_MAX_JITTER}")
 
 
 @dataclass
@@ -158,9 +159,8 @@ def _gauss_legendre(k: int):
     return x, w
 
 
-def quadrature_grid(floor: float, panels: int, nodes_per_panel: int,
-                    ceil_gap: float = 1e-10):
-    """Composite Gauss-Legendre nodes/weights on [floor, 1 - ceil_gap].
+def quadrature_grid(floor: float, panels: int, nodes_per_panel: int):
+    """Composite Gauss-Legendre nodes/weights on [floor, 1 - _CEIL_GAP].
 
     Panel edges refine geometrically toward both endpoints: toward 0 for
     the log singularity and ill-conditioned spectral mass, and toward 1 so
@@ -172,7 +172,7 @@ def quadrature_grid(floor: float, panels: int, nodes_per_panel: int,
         raise ValueError("floor must lie in (0, 0.5)")
     x, w = _gauss_legendre(nodes_per_panel)
     left = floor * (0.5 / floor) ** (np.arange(panels + 1) / panels)
-    gaps = 0.5 * (ceil_gap / 0.5) ** (np.arange(panels + 1) / panels)
+    gaps = 0.5 * (_CEIL_GAP / 0.5) ** (np.arange(panels + 1) / panels)
     edges = np.concatenate([left, (1.0 - gaps)[1:]])
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = edges[:-1, None] + half * (x + 1.0)
@@ -261,7 +261,7 @@ def _newton_step(H: np.ndarray, g: np.ndarray, config: SolverConfig) -> np.ndarr
     """Solve (H + eta I) s = -g by Cholesky, escalating eta tenfold on failure.
 
     eta starts at config.jitter. A failed factorization, or a zero or
-    non-finite step, raises it; past config.max_jitter the solve gives up.
+    non-finite step, raises it; past _MAX_JITTER the solve gives up.
     """
     eye = np.eye(len(g))
     eta = config.jitter
@@ -274,7 +274,7 @@ def _newton_step(H: np.ndarray, g: np.ndarray, config: SolverConfig) -> np.ndarr
         except np.linalg.LinAlgError:
             pass
         eta *= 10.0
-        if eta > config.max_jitter:
+        if eta > _MAX_JITTER:
             raise RuntimeError(
                 "regularized Hessian remained indefinite at maximum jitter"
             )
@@ -285,7 +285,7 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     """Damped Newton minimization of the dual, starting from alpha = 0.
 
     Each Newton step is a Cholesky solve with the Hessian plus diagonal
-    jitter, escalated tenfold from config.jitter up to config.max_jitter
+    jitter, escalated tenfold from config.jitter up to _MAX_JITTER
     while the factorization fails or the step is zero or non-finite. Steps
     are damped by Armijo backtracking; the exponential weights of the
     accepted trial point give the next objective, gradient and Hessian.

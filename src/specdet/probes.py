@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .linop import NotPositiveDefiniteError
+
 POWER = "power"
 CHEBYSHEV = "chebyshev"
 LEGENDRE = "legendre"
-_BASIS_KINDS = (POWER, CHEBYSHEV, LEGENDRE)
+BASIS_KINDS = (POWER, CHEBYSHEV, LEGENDRE)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class MomentBasis:
     order: int
 
     def __post_init__(self):
-        if self.kind not in _BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {_BASIS_KINDS}")
+        if self.kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
         if self.order < 0:
             raise ValueError("basis order must be non-negative")
 
@@ -172,6 +174,13 @@ def _moment_samples(op, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
         if 2 * k <= m:
             samples[:, 2 * k] = 2.0 * _col_dot(nxt, nxt) / n - samples[:, 0]
         prev, cur = cur, nxt
+    # with B's spectrum in [0, 1], T_k(2B - I) has its spectrum in [-1, 1],
+    # so |z.T_k z| / n <= z.z / n = 1
+    worst = np.abs(samples).max()
+    if worst > 1.0 + 1e-8:
+        raise NotPositiveDefiniteError(
+            f"Chebyshev moment sample {worst:.3g} exceeds 1 in magnitude: the "
+            "normalized matrix has an eigenvalue below 0, not positive definite")
     if basis.kind == CHEBYSHEV:
         return samples
     # every f_i and T_k is 1 at x = 1, so each row of L sums to 1 and the
@@ -187,6 +196,13 @@ def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMomen
     need symmetry, and the recurrence overwrites each product). Probes are
     reduced in index order, so results are bit-identical for identical
     arguments.
+
+    The spectrum of `op` must lie in [-1, 1], as that of K / lambda_u does
+    for a Gershgorin bound lambda_u. A Chebyshev sample z.T_k(2B - I)z / n
+    past 1 + 1e-8 in magnitude then proves an eigenvalue below 0 and raises
+    NotPositiveDefiniteError. The test is partial: on a 200 x 200 matrix with
+    five eigenvalues at -0.05 among [0.1, 1] it fires at m = d = 30 but not
+    at m = 5, d = 4, and at m = d = 30 it misses five at -1e-3.
     """
     if d < 1:
         raise ValueError("probe count d must be >= 1")

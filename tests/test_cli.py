@@ -9,7 +9,7 @@ import pytest
 
 from specdet import cli, estimators
 from specdet.cli import main
-from specdet.estimators import logdet_exact
+from specdet.estimators import EstimatorConfig, logdet_exact
 from specdet.linop import DenseOperator, write_matrix_market
 from specdet.synth import KernelSpec, se_kernel
 
@@ -19,6 +19,17 @@ IDENTITY_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
 def write_diag124(tmp_path):
     path = tmp_path / "diag.mtx"
     write_matrix_market(DenseOperator(np.diag([1.0, 2.0, 4.0])), path)
+    return str(path)
+
+
+def write_five_negative(tmp_path):
+    """200 x 200, eigenvalues uniform on [0.1, 1] except five at -0.05."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    lam = rng.uniform(0.1, 1.0, 200)
+    lam[:5] = -0.05
+    path = tmp_path / "indef.mtx"
+    write_matrix_market(DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True), path)
     return str(path)
 
 
@@ -110,14 +121,13 @@ class TestEstimate:
 
     def test_indefinite_lanczos_is_numerical_error(self, tmp_path, capsys):
         # five eigenvalues at -0.05 among 200: a negative Ritz value shows it
-        rng = np.random.default_rng(0)
-        Q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
-        lam = rng.uniform(0.1, 1.0, 200)
-        lam[:5] = -0.05
-        path = tmp_path / "indef.mtx"
-        write_matrix_market(DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True), path)
-        assert main(["estimate", "--mtx", str(path), "--method", "lanczos"]) == 4
+        path = write_five_negative(tmp_path)
+        assert main(["estimate", "--mtx", path, "--method", "lanczos"]) == 4
         assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
+
+    def test_bare_flags_are_the_library_defaults(self):
+        args = cli.build_parser().parse_args(["estimate", "--identity", "3"])
+        assert cli._estimator_config(args) == EstimatorConfig()
 
     def test_bad_method_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,6 +194,16 @@ class TestMoments:
             assert main([command, "--mtx", str(path)]) == 4
             assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
 
+    @pytest.mark.parametrize("flag", [("--gtol", "0"), ("--jitter", "1e-8"),
+                                      ("--prior", "beta"), ("--min-eig", "1e-3")],
+                             ids=["gtol", "jitter", "prior", "min-eig"])
+    def test_solver_flag_is_usage_error(self, flag, capsys):
+        # the moment pass reads no solver setting, so it accepts none
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--identity", "3", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_bad_basis_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--identity", "3", "--basis", "fourier"])
@@ -229,10 +249,12 @@ class TestBench:
         ["--lengthscales", "abc"],
         ["--lengthscales", "0.5,-1"],
         ["--lengthscales", "nan"],
-        ["--lengthscales", "0.5", "--n", "0"],
-        ["--lengthscales", "0.5", "--dim", "0"],
-        ["--lengthscales", "0.5", "--input-scale", "inf"],
-    ], ids=["not-a-number", "negative", "nan", "n-zero", "dim-zero", "infinite-spread"])
+        ["--lengthscales", "0.5", "--se-kernel", "n=0"],
+        ["--lengthscales", "0.5", "--se-kernel", "dim=0"],
+        ["--lengthscales", "0.5", "--se-kernel", "scale=inf"],
+        ["--se-kernel", "q=3"],
+    ], ids=["not-a-number", "negative", "nan", "n-zero", "dim-zero", "infinite-spread",
+            "unknown-key"])
     def test_bad_kernel_flag_is_parse_error_before_any_case(self, flags, monkeypatch, capsys):
         def no_case(*args):
             raise AssertionError("a case was built")
@@ -241,6 +263,33 @@ class TestBench:
         assert main(["bench", *flags]) == 3
         assert_one_error_line(capsys.readouterr())
 
+    @pytest.mark.parametrize("flags, specs", [
+        (["--lengthscales", "0.3,0.4", "--seed", "7"],
+         [KernelSpec(n=1000, dim=6, lengthscale=l, noise=1e-8, seed=7, input_scale=0.21)
+          for l in (0.3, 0.4)]),
+        (["--se-kernel", "n=40,noise=1e-2", "--lengthscales", "0.5"],
+         [KernelSpec(n=40, lengthscale=0.5, noise=1e-2)]),
+    ], ids=["lengthscales-only", "noise"])
+    def test_kernel_cases(self, flags, specs, monkeypatch, capsys):
+        built, hints = [], []
+
+        def small_kernel(spec):
+            built.append(spec)
+            return DenseOperator(np.eye(3))
+
+        def record_hint(op, method, cfg):
+            hints.append(cfg.min_eigenvalue)
+            return estimators.estimate_logdet(op, method, cfg)
+
+        monkeypatch.setattr(cli, "se_kernel", small_kernel)
+        monkeypatch.setattr(cli, "estimate_logdet", record_hint)
+        assert main(["bench", *flags, "--methods", "taylor", "-m", "4", "-d", "2"]) == 0
+        assert built == specs
+        # the kernel's diagonal noise is the min-eig hint of its case
+        assert hints == [spec.noise for spec in specs]
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [float(r["lengthscale"]) for r in rows] == [s.lengthscale for s in specs]
+
     @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-directory", "a-directory"])
     def test_unwritable_csv_is_usage_error_before_any_estimate(self, target, tmp_path,
                                                                monkeypatch, capsys):
@@ -248,7 +297,7 @@ class TestBench:
             raise AssertionError("an estimate ran")
 
         monkeypatch.setattr(cli, "estimate_logdet", no_estimate)
-        code = main(["bench", "--lengthscales", "0.5", "--n", "20",
+        code = main(["bench", "--lengthscales", "0.5", "--se-kernel", "n=20",
                      "--csv", str(tmp_path / target)])
         assert code == 2
         assert_one_error_line(capsys.readouterr())
@@ -268,7 +317,7 @@ class TestBench:
         monkeypatch.setattr(estimators, "logdet_exact", counted("exact", estimators.logdet_exact))
         monkeypatch.setattr(cli, "condition_number_estimate",
                             counted("kappa", cli.condition_number_estimate))
-        code = main(["bench", "--lengthscales", "0.5", "--n", "40", "-m", "6", "-d", "4",
+        code = main(["bench", "--lengthscales", "0.5", "--se-kernel", "n=40", "-m", "6", "-d", "4",
                      "--methods", methods, "--kappa"])
         assert code == 0
         assert calls == {"exact": 1, "kappa": 1}
@@ -292,7 +341,7 @@ class TestBench:
         # 9 lengthscales x 3 methods mirrors the dense benchmark table
         out_csv = tmp_path / "bench.csv"
         ls = ",".join(str(round(0.05 + 0.1 * i, 2)) for i in range(9))
-        code = main(["bench", "--lengthscales", ls, "--n", "120", "--dim", "6",
+        code = main(["bench", "--lengthscales", ls, "--se-kernel", "n=120,dim=6",
                      "-m", "10", "-d", "10", "--csv", str(out_csv)])
         assert code == 0
         with open(out_csv) as fh:
@@ -324,7 +373,7 @@ class TestBench:
         assert capsys.readouterr().err.startswith(f"error reading {path}: ")
 
     def test_json_flag(self, capsys):
-        code = main(["bench", "--lengthscales", "0.3", "--n", "60",
+        code = main(["bench", "--lengthscales", "0.3", "--se-kernel", "n=60",
                      "-m", "5", "-d", "5", "--methods", "lanczos",
                      "--json", "--csv", "/dev/null"])
         assert code == 0
@@ -334,13 +383,20 @@ class TestBench:
 
     def test_json_writes_non_finite_as_null(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "condition_number_estimate", lambda op, seed: float("inf"))
-        code = main(["bench", "--lengthscales", "0.3", "--n", "60",
+        code = main(["bench", "--lengthscales", "0.3", "--se-kernel", "n=60",
                      "-m", "5", "-d", "5", "--methods", "taylor", "--kappa",
                      "--json", "--csv", "/dev/null"])
         assert code == 0
         payload = strict_json(capsys.readouterr().out)
         assert payload[0]["kappa"] is None
         assert payload[0]["rel_error"] >= 0.0
+
+
+@pytest.mark.parametrize("command", ["estimate", "moments"])
+def test_indefinite_moments_are_numerical_error(command, tmp_path, capsys):
+    # a Chebyshev moment sample of 18.6 proves an eigenvalue below 0
+    assert main([command, "--mtx", write_five_negative(tmp_path)]) == 4
+    assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
 
 
 @pytest.mark.parametrize("command", ["estimate", "moments", "bench"])

@@ -166,6 +166,11 @@ class TestMaxent:
         with pytest.raises(ValueError, match="unknown prior"):
             EstimatorConfig(prior="gamma")
 
+    def test_basis_validation(self):
+        # refused when the config is built, not inside the first estimate
+        with pytest.raises(ValueError, match="unknown basis"):
+            EstimatorConfig(basis="fourier")
+
 
 class TestTaylor:
     def test_identity_exact_zero(self):
@@ -212,17 +217,19 @@ class TestChebyshev:
         est = logdet_chebyshev(identity(40), EstimatorConfig(m=12, d=6, seed=0))
         assert est.value == 0.0
 
-    def test_diagonal_inside_interval(self):
-        cfg = EstimatorConfig(m=20, d=8, seed=1, cheb_floor=0.2)
+    def test_diagonal_inside_interval(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_CHEB_FLOOR", 0.2)
+        cfg = EstimatorConfig(m=20, d=8, seed=1)
         est = logdet_chebyshev(diag124(), cfg)
         assert est.value == pytest.approx(LN8, abs=1e-3)
 
-    def test_matches_interpolant_of_dense_matrix(self):
+    def test_matches_interpolant_of_dense_matrix(self, monkeypatch):
         # n log lambda_u + mean_j z_j.q(B)z_j with q, the degree-m interpolant
         # of log at the mapped Radau nodes, applied through eigh
         op = random_spd(40, 3, lo=0.02)
         m, a = 10, 0.01
-        cfg = EstimatorConfig(m=m, d=7, seed=5, cheb_floor=a)
+        monkeypatch.setattr(estimators, "_CHEB_FLOOR", a)
+        cfg = EstimatorConfig(m=m, d=7, seed=5)
         est = logdet_chebyshev(op, cfg)
         x = np.cos(2.0 * np.pi * np.arange(m + 1) / (2 * m + 1))
         nodes = 0.5 * (x + 1.0) * (1.0 - a) + a
@@ -279,6 +286,23 @@ class TestLanczos:
         est = logdet_lanczos(op, EstimatorConfig(m=3, d=4, seed=0))
         eps = np.finfo(float).eps
         assert est.value == pytest.approx(np.log(eps) + np.log(0.5), rel=1e-6)
+
+
+class TestIndefiniteMoments:
+    """A Chebyshev moment sample past 1 in magnitude proves an eigenvalue below 0."""
+
+    @pytest.mark.parametrize("fn", [logdet_maxent, logdet_taylor, logdet_chebyshev],
+                             ids=["maxent", "taylor", "chebyshev"])
+    def test_moment_estimators_refuse(self, fn):
+        with pytest.raises(NotPositiveDefiniteError, match="moment sample"):
+            fn(five_negative_eigenvalues(), EstimatorConfig(seed=0))
+
+    @pytest.mark.parametrize("kind", [POWER, LEGENDRE])
+    def test_checked_before_the_change_of_basis(self, kind):
+        # the power moments of this matrix stay inside [0, 1]
+        B = normalize(five_negative_eigenvalues())
+        with pytest.raises(NotPositiveDefiniteError, match="moment sample"):
+            estimate_moments(B, MomentBasis(kind, 30), d=30, seed=0)
 
 
 class TestBatchedLanczos:
