@@ -199,12 +199,25 @@ def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> 
 _BASIS_BYTES = 8 << 20
 
 
+# Partial reorthogonalization (Simon, Math. Comp. 42, 1984). omega estimates
+# q_j'q_k for every earlier vector q_k of a column; a column is
+# reorthogonalized only once an estimate passes sqrt(eps), which keeps its
+# Gauss rule as accurate as full reorthogonalization would. One step's
+# rounding adds at most about _ROUNDING sqrt(n) (beta_k + beta_j) to
+# beta_j q_{j+1}'q_k, taken with the sign that makes |omega| grow.
+_ORTH_LEVEL = np.sqrt(np.finfo(float).eps)
+_ROUNDING = 0.5 * np.finfo(float).eps
+
+
 def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.ndarray:
     """z'log(B)z / z'z for each column z of Z by m-step Lanczos quadrature.
 
     All columns run the three-term recurrence together, one `matmat` per
-    step, each with one-pass full reorthogonalization against its own
-    basis. A column whose beta falls below 1e-12 has reached an invariant
+    step. Simon's recurrence tracks each column's loss of orthogonality from
+    its alphas and betas alone. A column is reorthogonalized against its own
+    basis, in one pass, when an estimate passes sqrt(eps), again on the step
+    after (Simon's pair rule), and whenever its beta is below sqrt(eps). A
+    column whose beta then falls below 1e-12 has reached an invariant
     subspace: it stops there, which is exact, and its later vectors are
     zero. The loop ends once every column has stopped. A Ritz value below
     -sqrt(eps) theta_max raises NotPositiveDefiniteError.
@@ -216,6 +229,12 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
     betas = np.zeros((b, max(m - 1, 0)))
     steps = np.full(b, m)
     active = np.ones(b, dtype=bool)
+    # omega[i, k] estimates q_j'q_k for column i at step j, omega_prev at step j - 1
+    omega, omega_prev = np.zeros((b, m)), np.zeros((b, m))
+    omega[:, 0] = 1.0
+    noise = _ROUNDING * np.sqrt(n)
+    again = np.zeros(b, dtype=bool)  # Simon's pair rule: redo the step after
+    scratch = np.empty((b, n))
     for j in range(m):
         q = Q[:, j]
         # q.T is not C-contiguous, so a dense product comes back column-major
@@ -224,22 +243,50 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         alphas[:, j] = np.matmul(W[:, None, :], q[:, :, None])[:, 0, 0]
         if j == m - 1:
             break
-        W -= alphas[:, j, None] * q
+        W -= np.multiply(alphas[:, j, None], q, out=scratch)
         if j > 0:
-            W -= betas[:, j - 1, None] * Q[:, j - 1]
-        basis = Q[:, : j + 1]
-        W -= np.matmul(np.matmul(basis, W[:, :, None]).transpose(0, 2, 1), basis)[:, 0]
+            W -= np.multiply(betas[:, j - 1, None], Q[:, j - 1], out=scratch)
         beta = np.linalg.norm(W, axis=1)
-        stopped = active & (beta < 1e-12)
-        steps[stopped] = j + 1
-        active &= ~stopped
-        if not active.any():
-            break
-        betas[active, j] = beta[active]
-        np.divide(W, beta[:, None], out=Q[:, j + 1], where=active[:, None])
+        tiny = beta < _ORTH_LEVEL
+        # omega_prev becomes step j + 1's estimates
+        if j > 0:
+            t = (betas[:, :j] * omega[:, 1:j + 1]
+                 + (alphas[:, :j] - alphas[:, j, None]) * omega[:, :j]
+                 - betas[:, j - 1, None] * omega_prev[:, :j])
+            t[:, 1:] += betas[:, :j - 1] * omega[:, :j - 1]
+            t += np.copysign(noise * (betas[:, :j] + beta[:, None]), t)
+            # a tiny beta is reorthogonalized below, which resets its row
+            np.divide(t, beta[:, None], out=omega_prev[:, :j], where=~tiny[:, None])
+        omega_prev[:, j] = noise
+        omega_prev[:, j + 1] = 1.0
+        omega, omega_prev = omega_prev, omega
+        lost = active & (tiny | (np.abs(omega[:, : j + 1]).max(axis=1) > _ORTH_LEVEL))
+        redo = lost | again
+        again = lost & ~again
+        if redo.any():
+            basis = Q[:, : j + 1]
+            h = np.matmul(basis, W[:, :, None])
+            h[~redo] = 0.0  # a row that skips keeps its W bit for bit
+            W -= np.matmul(h.transpose(0, 2, 1), basis)[:, 0]
+            beta = np.linalg.norm(W, axis=1)
+            omega[redo, : j + 1] = noise
+        stopped = beta < 1e-12
+        if stopped.any():
+            stopped &= active
+            steps[stopped] = j + 1
+            active &= ~stopped
+            if not active.any():
+                break
+            betas[active, j] = beta[active]
+            np.divide(W, beta[:, None], out=Q[:, j + 1], where=active[:, None])
+        else:
+            betas[:, j] = beta
+            np.divide(W, beta[:, None], out=Q[:, j + 1])
+    if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
+        raise ValueError("Lanczos coefficients must not contain infs or NaNs")
     out = np.empty(b)
     for i, s in enumerate(steps):
-        theta, V = scipy.linalg.eigh_tridiagonal(alphas[i, :s], betas[i, : s - 1])
+        theta, V = _gauss_rule(alphas[i, :s], betas[i, : s - 1])
         # a Ritz value is a Rayleigh quotient of B: one well below 0 proves B
         # indefinite; roundoff can push one of a near-singular B just below 0
         if theta.min() < -np.sqrt(np.finfo(float).eps) * theta.max():
@@ -248,6 +295,16 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         theta = np.maximum(theta, np.finfo(float).eps * theta.max())
         out[i] = V[0, :] ** 2 @ np.log(theta)
     return out
+
+
+def _gauss_rule(alpha: np.ndarray, beta: np.ndarray):
+    """Eigenvalues and eigenvectors of the Jacobi matrix tridiag(beta, alpha, beta)."""
+    if alpha.size == 1:  # dstevd refuses an empty off-diagonal
+        return alpha, np.ones((1, 1))
+    theta, V, info = scipy.linalg.lapack.dstevd(alpha, beta, compute_v=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"Gauss rule: dstevd returned info={info}")
+    return theta, V
 
 
 def _lanczos_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
