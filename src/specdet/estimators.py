@@ -270,18 +270,13 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
             W -= np.matmul(h.transpose(0, 2, 1), basis)[:, 0]
             beta = np.linalg.norm(W, axis=1)
             omega[redo, : j + 1] = noise
-        stopped = beta < 1e-12
-        if stopped.any():
-            stopped &= active
-            steps[stopped] = j + 1
-            active &= ~stopped
-            if not active.any():
-                break
-            betas[active, j] = beta[active]
-            np.divide(W, beta[:, None], out=Q[:, j + 1], where=active[:, None])
-        else:
-            betas[:, j] = beta
-            np.divide(W, beta[:, None], out=Q[:, j + 1])
+        stopped = active & (beta < 1e-12)
+        steps[stopped] = j + 1
+        active &= ~stopped
+        if not active.any():
+            break
+        betas[active, j] = beta[active]
+        np.divide(W, beta[:, None], out=Q[:, j + 1], where=active[:, None])
     if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
         raise ValueError("Lanczos coefficients must not contain infs or NaNs")
     out = np.empty(b)
