@@ -19,16 +19,14 @@ import numpy as np
 import scipy.linalg
 
 from . import maxent
-from .linop import (LinearOperator, NormalizedOperator, NotPositiveDefiniteError,
-                    gershgorin_upper_bound, normalize)
+from .linop import LinearOperator, NormalizedOperator, NotPositiveDefiniteError, normalize
 from .maxent import DegenerateSpectrumError, SolverConfig, UniformPrior, fit_beta_prior
 from .probes import (BASIS_KINDS, CHEBYSHEV, MomentBasis, estimate_moments,
                      moments_to_power, probe_matrix)
 
 PRIORS = ("uniform", "beta", "auto")
 _CHEB_FLOOR = 1e-6  # lower endpoint of the Chebyshev log-interpolation interval
-_FACTOR_GUARD = 20_000  # largest n the oracle and the condition number factor
-_POWER_ITERATIONS = 200  # per power iteration of the condition-number estimate
+_FACTOR_GUARD = 20_000  # largest n the oracle and the condition number make dense
 
 
 @dataclass
@@ -41,12 +39,16 @@ class EstimatorConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     # Known lower bound on the spectrum in original (unnormalized) units,
     # e.g. the diagonal jitter sigma^2 when K = K0 + sigma^2 I with K0 PSD.
-    # Tightens the surrogate's support floor; None leaves the solver default.
+    # Tightens the surrogate's support floor; None or a value <= 0 does not.
     min_eigenvalue: float | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.min_eigenvalue is not None and not np.isfinite(self.min_eigenvalue):
+            raise ValueError(f"min_eigenvalue must be finite, got {self.min_eigenvalue}")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASIS_KINDS}")
         if self.prior not in PRIORS:
@@ -67,17 +69,22 @@ class LogDetEstimate:
     converged: bool = True
 
 
-def logdet_exact(op: LinearOperator, max_n: int = _FACTOR_GUARD) -> float:
-    """2 sum log L_ii from the Cholesky factor; O(n^3), guarded by max_n.
+def _guarded_dense(op: LinearOperator, what: str) -> np.ndarray:
+    """op's dense copy for an O(n^3) computation, refused past `_FACTOR_GUARD`.
 
-    The factorization reads one triangle only, so a non-symmetric operator
-    is refused rather than answered for its lower triangle.
+    Cholesky and eigvalsh read one triangle only, so a non-symmetric
+    operator is refused rather than answered for its lower triangle.
     """
     if not op.symmetric:
-        raise ValueError("exact log determinant requires a symmetric operator")
-    if op.n > max_n:
-        raise ValueError(f"n={op.n} exceeds the exact-oracle guard {max_n}")
-    A = op.to_dense()
+        raise ValueError(f"{what} requires a symmetric operator")
+    if op.n > _FACTOR_GUARD:
+        raise ValueError(f"n={op.n} exceeds the {what} guard {_FACTOR_GUARD}")
+    return op.to_dense()
+
+
+def logdet_exact(op: LinearOperator) -> float:
+    """2 sum log L_ii from the Cholesky factor; O(n^3), guarded by `_FACTOR_GUARD`."""
+    A = _guarded_dense(op, "exact log determinant")
     try:
         L = scipy.linalg.cholesky(A, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -323,49 +330,17 @@ def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Lo
     return _estimate("lanczos", op, cfg, _lanczos_log_mean)
 
 
-def condition_number_estimate(op: LinearOperator, seed: int = 0,
-                              factor_guard: int = _FACTOR_GUARD) -> float:
-    """Power-iteration estimate of lambda_max / lambda_min; order-of-magnitude.
+def condition_number_estimate(op: LinearOperator) -> float:
+    """lambda_max / lambda_min from one eigvalsh of the dense matrix.
 
-    lambda_max comes from plain power iteration. lambda_min comes from
-    inverse power iteration through a Cholesky factor when the matrix fits
-    the factorization guard; otherwise from power iteration on the shifted
-    proxy lambda_u I - K, which only lower-bounds lambda_u - lambda_min and
-    can badly underestimate kappa when small eigenvalues cluster. Raises
-    NotPositiveDefiniteError when the factorization fails or the proxy's
-    lambda_min, an upper bound on the true one, is not positive.
+    O(n^3), under the oracle's guard. Raises NotPositiveDefiniteError when
+    lambda_min <= 0.
     """
-    rng = np.random.default_rng(seed)
-    n = op.n
-    lam_u = gershgorin_upper_bound(op)
-
-    def power_iter(apply_fn):
-        v = rng.standard_normal((n, 1))
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(_POWER_ITERATIONS):
-            w = apply_fn(v)
-            lam = v[:, 0] @ w[:, 0]
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-        return lam
-
-    lam_max = power_iter(op.matmat)
-    if n <= factor_guard:
-        try:
-            factor = scipy.linalg.cho_factor(op.to_dense())
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("matrix not positive definite") from exc
-        lam_min = 1.0 / power_iter(lambda v: scipy.linalg.cho_solve(factor, v))
-    else:
-        lam_min = lam_u - power_iter(lambda v: lam_u * v - op.matmat(v))
-        if lam_min <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"shifted power iteration bounds lambda_min by {lam_min:.3g} <= 0: "
-                "matrix not positive definite")
-    return float(lam_max / lam_min)
+    lam = scipy.linalg.eigvalsh(_guarded_dense(op, "condition number"))
+    if lam[0] <= 0.0:
+        raise NotPositiveDefiniteError(
+            f"smallest eigenvalue {lam[0]:.3g} <= 0: matrix not positive definite")
+    return float(lam[-1] / lam[0])
 
 
 def _exact_estimate(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:

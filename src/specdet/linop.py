@@ -10,8 +10,8 @@ triangle plus one CSR matrix holding both, so a product is a single
 sparse-times-dense call.
 
 A dense product A X is one call to `scipy.linalg.blas.dgemm`, the
-OpenBLAS that the Cholesky oracle and the condition-number estimate
-factor with, rather than numpy's `@`. The numpy and scipy wheels each
+OpenBLAS that the Cholesky oracle and the condition number's eigensolve
+run on, rather than numpy's `@`. The numpy and scipy wheels each
 bundle their own OpenBLAS (0.3.31 ILP64 in numpy 2.4.6, 0.3.30 LP64 in
 scipy 1.17.1), and both are loaded. After a threaded call a library keeps
 its worker thread spinning for about 0.1 s, which on two cores halves the

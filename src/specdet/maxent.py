@@ -114,8 +114,8 @@ class SolverConfig:
     floor: float = 1e-14  # quadrature lower endpoint when the prior allows mass there
 
     def __post_init__(self):
-        if self.gtol <= 0:
-            raise ValueError("gtol must be positive")
+        if not 0.0 < self.gtol < np.inf:  # the negated form also rejects nan
+            raise ValueError(f"gtol must be positive and finite, got {self.gtol}")
         # a jitter of 0 never escalates, so a failing factorization would loop
         if not (0.0 < self.jitter <= _MAX_JITTER):
             raise ValueError(f"jitter must be positive and at most {_MAX_JITTER}")

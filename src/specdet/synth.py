@@ -29,6 +29,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.n < 1 or self.dim < 1:
             raise ValueError("n and dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # the negated forms also reject nan; an infinite input spread makes
         # every distance nan
         if not self.lengthscale > 0:

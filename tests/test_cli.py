@@ -139,9 +139,12 @@ class TestEstimate:
         assert main(["estimate", "--se-kernel", "n=10,q=3"]) == 3
         assert_one_error_line(capsys.readouterr())
 
-    @pytest.mark.parametrize("flag", [("--gtol", "0"), ("--jitter", "0"),
+    @pytest.mark.parametrize("flag", [("--gtol", "0"), ("--gtol", "inf"), ("--gtol", "nan"),
+                                      ("--min-eig", "nan"), ("--min-eig", "inf"),
+                                      ("--seed", "-1"), ("--jitter", "0"),
                                       ("-m", "0"), ("-d", "0")],
-                             ids=["gtol", "jitter", "m", "d"])
+                             ids=["gtol", "gtol=inf", "gtol=nan", "min-eig=nan",
+                                  "min-eig=inf", "seed=-1", "jitter", "m", "d"])
     def test_out_of_range_estimator_flag_is_usage_error(self, flag, capsys):
         assert main(["estimate", "--identity", "20", *flag]) == 2
         err = capsys.readouterr().err
@@ -210,8 +213,9 @@ class TestMoments:
         assert exc.value.code == 2
         assert "invalid choice: 'fourier'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [("-d", "0"), ("-d", "-3"), ("-m", "-1")],
-                             ids=["d=0", "d=-3", "m=-1"])
+    @pytest.mark.parametrize("flag", [("-d", "0"), ("-d", "-3"), ("-m", "-1"),
+                                      ("--seed", "-1")],
+                             ids=["d=0", "d=-3", "m=-1", "seed=-1"])
     def test_out_of_range_flag_is_usage_error_before_loading(self, flag, monkeypatch,
                                                              capsys):
         def no_load(args):
@@ -253,8 +257,9 @@ class TestBench:
         ["--lengthscales", "0.5", "--se-kernel", "dim=0"],
         ["--lengthscales", "0.5", "--se-kernel", "scale=inf"],
         ["--se-kernel", "q=3"],
+        ["--lengthscales", "0.5", "--se-kernel", "seed=-1"],
     ], ids=["not-a-number", "negative", "nan", "n-zero", "dim-zero", "infinite-spread",
-            "unknown-key"])
+            "unknown-key", "negative-seed"])
     def test_bad_kernel_flag_is_parse_error_before_any_case(self, flags, monkeypatch, capsys):
         def no_case(*args):
             raise AssertionError("a case was built")
@@ -337,6 +342,17 @@ class TestBench:
             assert r["kappa"] == "" and r["estimate"] == ""
             assert "not positive definite" in r["error"]
 
+    def test_kappa_and_oracle_skip_a_file_past_the_exact_guard(self, tmp_path, capsys):
+        path = tmp_path / "diag.mtx"
+        write_matrix_market(DenseOperator(np.diag(np.linspace(1.0, 2.0, 30))), path)
+        assert main(["bench", str(path), "--kappa", "--exact-guard", "20",
+                     "-m", "4", "-d", "2"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["method"] for r in rows] == ["maxent", "chebyshev", "lanczos"]
+        for r in rows:
+            assert r["error"] in ("", "non-converged") and r["estimate"] != ""
+            assert r["kappa"] == r["exact"] == r["rel_error"] == ""
+
     def test_sweep_shape(self, tmp_path, capsys):
         # 9 lengthscales x 3 methods mirrors the dense benchmark table
         out_csv = tmp_path / "bench.csv"
@@ -382,7 +398,7 @@ class TestBench:
         assert payload[0]["method"] == "lanczos"
 
     def test_json_writes_non_finite_as_null(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "condition_number_estimate", lambda op, seed: float("inf"))
+        monkeypatch.setattr(cli, "condition_number_estimate", lambda op: float("inf"))
         code = main(["bench", "--lengthscales", "0.3", "--se-kernel", "n=60",
                      "-m", "5", "-d", "5", "--methods", "taylor", "--kappa",
                      "--json", "--csv", "/dev/null"])

@@ -84,9 +84,10 @@ class TestExact:
         with pytest.raises(NotPositiveDefiniteError):
             logdet_exact(DenseOperator(np.diag([1.0, -1.0])))
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_FACTOR_GUARD", 2)
         with pytest.raises(ValueError, match="guard"):
-            logdet_exact(identity(3), max_n=2)
+            logdet_exact(identity(3))
 
 
 class TestMaxent:
@@ -468,11 +469,26 @@ class TestConditionNumber:
     def test_diagonal(self):
         assert condition_number_estimate(diag124()) == pytest.approx(4.0, rel=1e-6)
 
-    @pytest.mark.parametrize("factor_guard", [20_000, 1], ids=["cholesky", "shifted-proxy"])
-    def test_indefinite_refused(self, factor_guard):
+    def test_indefinite_refused(self):
         op = DenseOperator(np.diag([-1.0, 8.0]))
         with pytest.raises(NotPositiveDefiniteError):
-            condition_number_estimate(op, factor_guard=factor_guard)
+            condition_number_estimate(op)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_extreme_eigenvalue_ratio(self, seed):
+        op = random_spd(60, seed, lo=1e-3)
+        lam = np.linalg.eigvalsh(op.A)
+        assert condition_number_estimate(op) == pytest.approx(lam[-1] / lam[0], rel=1e-12)
+
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_FACTOR_GUARD", 2)
+        with pytest.raises(ValueError, match="guard"):
+            condition_number_estimate(identity(3))
+
+    def test_non_symmetric_refused(self):
+        op = DenseOperator(np.array([[2.0, 5.0], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            condition_number_estimate(op)
 
     def test_kernel_order_of_magnitude(self):
         # l = 0.33 sits in the 1e7 regime at the default input spread
