@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
+from . import estimators
 from .estimators import (METHODS, PRIORS, EstimatorConfig, condition_number_estimate,
                          estimate_logdet, logdet_exact)
 from .linop import identity, normalize, read_matrix_market
@@ -151,14 +152,15 @@ def _print_json(obj) -> None:
 
 def cmd_logdet(args) -> int:
     try:
+        _estimator_config(args)  # out-of-range flags fail before the operator is built
+    except ValueError as exc:
+        return _usage_error(exc)
+    try:
         op, dataset, _, min_eig = _load_operator(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        cfg = _estimator_config(args, min_eig)
-    except ValueError as exc:
-        return _usage_error(exc)
+    cfg = _estimator_config(args, min_eig)  # valid too: a source's hint is finite
     try:
         est = estimate_logdet(op, args.method, cfg)
     except _NUMERICAL_ERRORS as exc:
@@ -264,6 +266,9 @@ def cmd_bench(args) -> int:
         _estimator_config(args)  # out-of-range flags fail before any case is built
     except ValueError as exc:
         return _usage_error(exc)
+    if args.exact_guard > estimators._FACTOR_GUARD:
+        return _usage_error(f"--exact-guard {args.exact_guard} exceeds the factorization "
+                            f"guard {estimators._FACTOR_GUARD}")
     try:
         spec = _parse_kernel_spec(args.se_kernel or "", args.seed)
         specs = [replace(spec, lengthscale=float(l))

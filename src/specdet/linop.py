@@ -48,6 +48,12 @@ _ROW_BLOCK_ELEMS = 1 << 15
 _ENTRY_DTYPE = [("i", np.int64), ("j", np.int64), ("v", float)]
 
 
+def row_blocks(n: int) -> list:
+    """(start, stop) of the row blocks, of ~256 KB, that an n-column array is walked in."""
+    step = max(1, _ROW_BLOCK_ELEMS // n)
+    return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 class MatrixMarketError(ValueError):
     """Raised for files that violate the coordinate symmetric contract."""
 
@@ -90,7 +96,8 @@ class DenseOperator(LinearOperator):
             raise ValueError(f"matrix must be square, got shape {A.shape}")
         if A.shape[0] < 1:
             raise ValueError("matrix must be at least 1x1")
-        if not np.isfinite(A).all():
+        # row blocks stay in cache instead of allocating an n x n mask
+        if not all(np.isfinite(A[i:e]).all() for i, e in row_blocks(A.shape[0])):
             raise ValueError("matrix contains non-finite entries")
         # A^T must be Fortran-ordered for dgemm to take it without a copy
         self.A = np.ascontiguousarray(A)
@@ -118,9 +125,8 @@ class DenseOperator(LinearOperator):
     def abs_row_sums(self) -> np.ndarray:
         # row blocks of ~256 KB stay in cache instead of allocating all of |A|
         out = np.empty(self.n)
-        step = max(1, _ROW_BLOCK_ELEMS // self.n)
-        for i in range(0, self.n, step):
-            np.abs(self.A[i:i + step]).sum(axis=1, out=out[i:i + step])
+        for i, e in row_blocks(self.n):
+            np.abs(self.A[i:e]).sum(axis=1, out=out[i:e])
         return out
 
 

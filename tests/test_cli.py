@@ -139,14 +139,18 @@ class TestEstimate:
         assert main(["estimate", "--se-kernel", "n=10,q=3"]) == 3
         assert_one_error_line(capsys.readouterr())
 
-    @pytest.mark.parametrize("flag", [("--gtol", "0"), ("--gtol", "inf"), ("--gtol", "nan"),
-                                      ("--min-eig", "nan"), ("--min-eig", "inf"),
-                                      ("--seed", "-1"), ("--jitter", "0"),
-                                      ("-m", "0"), ("-d", "0")],
-                             ids=["gtol", "gtol=inf", "gtol=nan", "min-eig=nan",
-                                  "min-eig=inf", "seed=-1", "jitter", "m", "d"])
-    def test_out_of_range_estimator_flag_is_usage_error(self, flag, capsys):
-        assert main(["estimate", "--identity", "20", *flag]) == 2
+    @pytest.mark.parametrize("argv", [
+        ("--identity", "20", "--gtol", "0"), ("--identity", "20", "--gtol", "inf"),
+        ("--identity", "20", "--gtol", "nan"), ("--identity", "20", "--min-eig", "nan"),
+        ("--identity", "20", "--min-eig", "inf"), ("--identity", "20", "--seed", "-1"),
+        ("--identity", "20", "--jitter", "0"), ("--identity", "20", "-m", "0"),
+        ("--identity", "20", "-d", "0"),
+        # the flags are checked before the kernel is built
+        ("--se-kernel", "n=20", "--seed", "-1")],
+        ids=["gtol", "gtol=inf", "gtol=nan", "min-eig=nan", "min-eig=inf", "seed=-1",
+             "jitter", "m", "d", "se-kernel-seed=-1"])
+    def test_out_of_range_estimator_flag_is_usage_error(self, argv, capsys):
+        assert main(["estimate", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -247,6 +251,22 @@ class TestBench:
 
         monkeypatch.setattr(cli, "se_kernel", no_case)
         assert main(["bench", "--lengthscales", "0.5", "-d", "0"]) == 2
+        assert_one_error_line(capsys.readouterr())
+
+    def test_exact_guard_past_the_factorization_guard_is_usage_error(self, monkeypatch,
+                                                                     capsys):
+        monkeypatch.setattr(estimators, "_FACTOR_GUARD", 30)
+        argv = ["bench", "--lengthscales", "0.5", "--se-kernel", "n=20",
+                "--methods", "taylor", "-m", "4", "-d", "2", "--kappa"]
+        assert main([*argv, "--exact-guard", "30"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0]["kappa"] != "" and rows[0]["exact"] != ""
+
+        def no_case(*args):
+            raise AssertionError("a case was built")
+
+        monkeypatch.setattr(cli, "se_kernel", no_case)
+        assert main([*argv, "--exact-guard", "31"]) == 2
         assert_one_error_line(capsys.readouterr())
 
     @pytest.mark.parametrize("flags", [

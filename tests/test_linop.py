@@ -175,6 +175,25 @@ class TestDenseOperator:
         A = A + A.T
         assert np.array_equal(DenseOperator(A).abs_row_sums(), np.abs(A).sum(axis=1))
 
+    @pytest.mark.parametrize("row", [0, 150, 299], ids=["first-block", "middle", "last-row"])
+    def test_non_finite_entry_in_any_row_block_rejected(self, row):
+        # 300 rows span several row blocks, the last one short
+        A = np.eye(300)
+        A[row, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseOperator(A)
+
+    def test_finiteness_check_allocates_no_n_by_n_mask(self):
+        # a whole-matrix isfinite mask alone would be A.nbytes / 8
+        A = np.eye(1000)
+        tracemalloc.start()
+        try:
+            DenseOperator(A, symmetric=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes // 50
+
     def test_base_class_has_no_product(self):
         with pytest.raises(NotImplementedError):
             LinearOperator().matmat(np.ones((2, 2)))

@@ -1,10 +1,73 @@
 """Synthetic squared-exponential kernel matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from specdet.estimators import logdet_exact
 from specdet.synth import KernelSpec, se_kernel
+
+
+def reference_kernel(spec, points, symmetrize=True):
+    """se_kernel's former full-matrix body, kept as the reference for the blocked build."""
+    sq = np.einsum("ij,ij->i", points, points)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
+    K = np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    np.fill_diagonal(K, 1.0 + spec.noise)
+    return 0.5 * (K + K.T) if symmetrize else K
+
+
+def kernel_points(spec):
+    rng = np.random.default_rng(spec.seed)
+    return spec.input_scale * rng.standard_normal((spec.n, spec.dim))
+
+
+class TestBlockedBuild:
+    """se_kernel builds K in row blocks and mirrors its lower triangle."""
+
+    # 17 and 1031 rows are whole numbers of neither the 128-row mirror tiles
+    # nor their row blocks (1927 and 31 rows); 256 rows are two of each
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 1031])
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    @pytest.mark.parametrize("lengthscale", [0.1, 0.5, 0.85])
+    def test_lower_triangle_is_the_full_expression_bit_for_bit(self, n, dim, lengthscale):
+        spec = KernelSpec(n=n, dim=dim, lengthscale=lengthscale, seed=n + dim)
+        points = kernel_points(spec)
+        K = se_kernel(spec, points=points).to_dense()
+        raw = reference_kernel(spec, points, symmetrize=False)
+        assert np.array_equal(np.tril(K), np.tril(raw))
+        assert np.array_equal(K, K.T)
+        # the reference averages its two triangles; where its BLAS product is
+        # not exactly symmetric (n=1031) that moves d2 by a few ulp, and K by
+        # up to 7e-15 relative at l=0.1
+        np.testing.assert_allclose(K, reference_kernel(spec, points), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n, lengthscale", [(256, 0.45), (256, 0.85), (2000, 0.65)])
+    def test_equals_the_full_expression_at_the_benchmark_shapes(self, n, lengthscale):
+        spec = KernelSpec(n=n, dim=6, lengthscale=lengthscale, seed=11)
+        K = se_kernel(spec).to_dense()
+        assert np.array_equal(K, reference_kernel(spec, kernel_points(spec)))
+
+    def test_wide_inputs_match_to_round_off(self):
+        # with dim=50 the products of the first row blocks differ from the full
+        # product's entries by round-off
+        spec = KernelSpec(n=1000, dim=50, lengthscale=0.5, input_scale=0.05, seed=4)
+        points = kernel_points(spec)
+        K = se_kernel(spec, points=points).to_dense()
+        assert np.array_equal(K, K.T)
+        np.testing.assert_allclose(K, reference_kernel(spec, points), rtol=1e-13, atol=0)
+
+    def test_allocation_peak_is_one_kernel(self):
+        # the full-matrix expression peaked at 3.0 kernels
+        spec = KernelSpec(n=1000, seed=2)
+        tracemalloc.start()
+        try:
+            K = se_kernel(spec).A
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * K.nbytes
 
 
 class TestSeKernel:
