@@ -277,14 +277,14 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    cases = [_case(spec) for spec in specs]
+    files = []
     for path in args.files:
         try:
-            cases.append(_case(path))
+            files.append(_case(path))
         except (OSError, ValueError) as exc:
             print(f"error reading {path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-    if not cases:
+    if not specs and not files:
         return _usage_error("no benchmark cases (need --lengthscales or files)")
     try:
         out = open(args.csv, "w", newline="") if args.csv else None
@@ -292,8 +292,9 @@ def cmd_bench(args) -> int:
         return _usage_error(f"cannot write --csv: {exc}")
 
     with out or contextlib.nullcontext(sys.stdout) as fh:
-        records = [r for op, dataset, l, min_eig in cases
-                   for r in _bench_case(op, dataset, l, min_eig, methods, args)]
+        # each kernel is built when its case runs and freed when it ends
+        records = [r for spec in specs for r in _bench_case(*_case(spec), methods, args)]
+        records += [r for case in files for r in _bench_case(*case, methods, args)]
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows({k: ("" if v is None else v) for k, v in asdict(r).items()}

@@ -45,6 +45,7 @@ from scipy.linalg.blas import dgemm
 
 
 _ROW_BLOCK_ELEMS = 1 << 15
+_SYMMETRY_TILE = 128
 _ENTRY_DTYPE = [("i", np.int64), ("j", np.int64), ("v", float)]
 
 
@@ -52,6 +53,13 @@ def row_blocks(n: int) -> list:
     """(start, stop) of the row blocks, of ~256 KB, that an n-column array is walked in."""
     step = max(1, _ROW_BLOCK_ELEMS // n)
     return [(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _is_symmetric(A: np.ndarray) -> bool:
+    """Whether A == A.T, compared tile pair by tile pair, not in one n x n pass."""
+    n, t = len(A), _SYMMETRY_TILE
+    return all(np.array_equal(A[r:r + t, c:c + t], A[c:c + t, r:r + t].T)
+               for r in range(0, n, t) for c in range(r, n, t))
 
 
 class MatrixMarketError(ValueError):
@@ -102,9 +110,7 @@ class DenseOperator(LinearOperator):
         # A^T must be Fortran-ordered for dgemm to take it without a copy
         self.A = np.ascontiguousarray(A)
         self.n = A.shape[0]
-        if symmetric is None:
-            symmetric = bool(np.array_equal(A, A.T))
-        self.symmetric = symmetric
+        self.symmetric = _is_symmetric(self.A) if symmetric is None else symmetric
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # f2py reports a mismatch as _fblas.error, not ValueError
@@ -202,7 +208,7 @@ class NormalizedOperator:
 
 
 def identity(n: int) -> DenseOperator:
-    return DenseOperator(np.eye(n))
+    return DenseOperator(np.eye(n), symmetric=True)
 
 
 def gershgorin_upper_bound(op: LinearOperator) -> float:

@@ -38,6 +38,10 @@ _NODES_PER_PANEL = 16
 _RIDGE = 1.0  # multiplier on the per-moment squared-standard-error penalty
 _MAX_JITTER = 1e-2  # Newton-step jitter past which the solve gives up
 _CEIL_GAP = 1e-10  # distance of the last quadrature panel edge from 1
+_UNIFORM_FLOOR = 1e-14  # lower end of the uniform prior's support; keeps log integrable
+# the largest floor quadrature_grid takes; a certified floor at or above 1/2
+# gets this grid, which covers [1/2, 1) as every smaller floor's grid does
+_MAX_GRID_FLOOR = float(np.nextafter(0.5, 0.0))
 
 
 class DegenerateSpectrumError(ValueError):
@@ -46,21 +50,15 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class UniformPrior:
-    """Flat prior on [delta, 1]; delta > 0 keeps log integrable."""
-
-    delta: float = 1e-14
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+    """Flat prior on [_UNIFORM_FLOOR, 1]."""
 
     @property
     def support_floor(self) -> float:
-        return self.delta
+        return _UNIFORM_FLOOR
 
     def density(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        return np.where((lam >= self.delta) & (lam <= 1.0), 1.0 / (1.0 - self.delta), 0.0)
+        return np.where((lam >= _UNIFORM_FLOOR) & (lam <= 1.0), 1.0 / (1.0 - _UNIFORM_FLOOR), 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,11 @@ class SolverConfig:
         # a jitter of 0 never escalates, so a failing factorization would loop
         if not (0.0 < self.jitter <= _MAX_JITTER):
             raise ValueError(f"jitter must be positive and at most {_MAX_JITTER}")
+        # the floor is min_eigenvalue / lambda_u when a spectral lower bound is
+        # given, and no eigenvalue exceeds the Gershgorin upper bound lambda_u
+        if not 0.0 < self.floor <= 1.0:
+            raise ValueError(f"floor must lie in (0, 1], got {self.floor:.6g}; above 1 it is "
+                             "a min_eigenvalue above lambda_u, the spectrum's upper bound")
 
 
 @dataclass
@@ -151,15 +154,12 @@ class SolveResult:
 
 
 @functools.cache
-def _gauss_legendre(k: int):
-    """Read-only k-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(k)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _panel_rule():
+    """Gauss-Legendre nodes and weights on [-1, 1], made on first use."""
+    return np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 
-def quadrature_grid(floor: float, panels: int, nodes_per_panel: int):
+def quadrature_grid(floor: float):
     """Composite Gauss-Legendre nodes/weights on [floor, 1 - _CEIL_GAP].
 
     Panel edges refine geometrically toward both endpoints: toward 0 for
@@ -170,9 +170,9 @@ def quadrature_grid(floor: float, panels: int, nodes_per_panel: int):
     """
     if not (0.0 < floor < 0.5):
         raise ValueError("floor must lie in (0, 0.5)")
-    x, w = _gauss_legendre(nodes_per_panel)
-    left = floor * (0.5 / floor) ** (np.arange(panels + 1) / panels)
-    gaps = 0.5 * (_CEIL_GAP / 0.5) ** (np.arange(panels + 1) / panels)
+    x, w = _panel_rule()
+    left = floor * (0.5 / floor) ** (np.arange(_PANELS + 1) / _PANELS)
+    gaps = 0.5 * (_CEIL_GAP / 0.5) ** (np.arange(_PANELS + 1) / _PANELS)
     edges = np.concatenate([left, (1.0 - gaps)[1:]])
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = edges[:-1, None] + half * (x + 1.0)
@@ -180,9 +180,12 @@ def quadrature_grid(floor: float, panels: int, nodes_per_panel: int):
 
 
 def _prior_grid(prior: PriorSpec, config: SolverConfig):
-    """Quadrature nodes on [max(prior floor, config.floor), 1) and w * q0 there."""
-    floor = max(prior.support_floor, config.floor)
-    nodes, w = quadrature_grid(floor, _PANELS, _NODES_PER_PANEL)
+    """Quadrature nodes on [max(prior floor, config.floor), 1) and w * q0 there.
+
+    A floor of 1/2 or more is lowered to _MAX_GRID_FLOOR.
+    """
+    floor = min(max(prior.support_floor, config.floor), _MAX_GRID_FLOOR)
+    nodes, w = quadrature_grid(floor)
     return nodes, w * prior.density(nodes)
 
 

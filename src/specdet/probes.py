@@ -4,10 +4,19 @@ Moments mu_i = (1/n) Tr f_i(B) are estimated with Rademacher probes
 (Hutchinson's method). Three bases are supported on [0, 1]: raw powers,
 shifted Chebyshev T_i(2x-1), and shifted Legendre P_i(2x-1).
 
-One recurrence serves every basis. The probe block Z is advanced through
-the lower half of the shifted Chebyshev basis only, V_k = T_k(2B - I) Z
-for k <= ceil(m/2), one block product per step; for symmetric B the upper
-half follows from column inner products (T_k short for T_k(2B - I)),
+Each basis is defined once, by its recurrence in `_recurrence`: f_i+1 =
+x f_i for powers, and the three-term recurrences in t = 2x - 1 for
+Chebyshev and Legendre. Run on point values it gives
+`MomentBasis.vandermonde`, on power coefficients `to_power_matrix`, and on
+Chebyshev coefficients `chebyshev_matrix`, so both changes of basis are
+exact up to the recurrence's own round-off, and the Chebyshev basis maps
+to exactly the identity.
+
+The moment pass runs the Chebyshev recurrence on the operator, for every
+basis. The probe block Z is advanced through the lower half of the basis
+only, V_k = T_k(2B - I) Z for k <= ceil(m/2), one block product per step;
+for symmetric B the upper half follows from column inner products (T_k
+short for T_k(2B - I)),
 
     z.T_2k z = 2 |T_k z|^2 - z.z,        z.T_2k+1 z = 2 (T_k z).(T_k+1 z) - z.T_1 z,
 
@@ -19,6 +28,7 @@ the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,56 +59,65 @@ class MomentBasis:
     def vandermonde(self, lam: np.ndarray) -> np.ndarray:
         """Evaluate f_0..f_m at the given points; shape (len(lam), m+1)."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        m = self.order
-        # the recurrences run on contiguous rows of the transpose
-        F = np.empty((m + 1, lam.size))
+        v = lam if self.kind == POWER else 2.0 * lam - 1.0
+        scaled = functools.cache(lambda c: c * v)  # one 2 v serves every Chebyshev step
+        # the recurrence runs on contiguous rows of the transpose
+        F = np.empty((self.order + 1, lam.size))
         F[0] = 1.0
-        if m > 0 and self.kind == POWER:
-            F[1] = lam
-            for i in range(2, m + 1):
-                F[i] = F[i - 1] * lam
-        elif m > 0:
-            t = 2.0 * lam - 1.0
-            F[1] = t
-            for i in range(1, m):
-                if self.kind == CHEBYSHEV:
-                    F[i + 1] = 2.0 * t * F[i] - F[i - 1]
-                else:
-                    F[i + 1] = ((2 * i + 1) * t * F[i] - i * F[i - 1]) / (i + 1)
+        _recurrence(self.kind, F, lambda c, f, out:
+                    np.multiply(v if c == 1.0 else scaled(c), f, out))
         return np.ascontiguousarray(F.T)
 
     def chebyshev_matrix(self) -> np.ndarray:
-        """Exact change of basis L with f_i(x) = sum_k L[i, k] T_k(2x - 1).
-
-        Interpolates f_0..f_m at the m+1 Chebyshev points, where the
-        Chebyshev Vandermonde matrix is orthogonal up to column scaling.
-        """
-        m = self.order
-        x = 0.5 * (np.cos(np.pi * (np.arange(m + 1) + 0.5) / (m + 1)) + 1.0)
-        T = MomentBasis(CHEBYSHEV, m).vandermonde(x)
-        # lower triangular in exact arithmetic; drop the round-off above it
-        return np.tril(np.linalg.solve(T, self.vandermonde(x)).T)
+        """Read-only change of basis L with f_i(x) = sum_k L[i, k] T_k(2x - 1)."""
+        return _change_of_basis(self.kind, self.order, CHEBYSHEV)
 
     def to_power_matrix(self) -> np.ndarray:
-        """Exact change of basis C with f_i(x) = sum_k C[i, k] x^k."""
-        m = self.order
-        C = np.zeros((m + 1, m + 1))
-        C[0, 0] = 1.0
-        if m == 0:
-            return C
-        if self.kind == POWER:
-            return np.eye(m + 1)
-        # recurrences in power coefficients of t = 2x - 1
-        C[1, 0], C[1, 1] = -1.0, 2.0
-        shifted = np.zeros(m + 1)  # x * f_i in power coefficients
-        for i in range(1, m):
-            shifted[1:] = C[i, :-1]
-            tC = 2.0 * shifted - C[i]  # (2x - 1) * f_i in power coefficients
-            if self.kind == CHEBYSHEV:
-                C[i + 1] = 2.0 * tC - C[i - 1]
-            else:
-                C[i + 1] = ((2 * i + 1) * tC - i * C[i - 1]) / (i + 1)
-        return C
+        """Read-only change of basis C with f_i(x) = sum_k C[i, k] x^k."""
+        return _change_of_basis(self.kind, self.order, POWER)
+
+
+def _recurrence(kind: str, F: np.ndarray, times) -> None:
+    """Fill rows 1..m of F with f_1..f_m of basis `kind`; F[0] holds f_0 == 1.
+
+    The rows hold polynomials in one representation: values at points, or
+    coefficients in powers or in Chebyshev polynomials. `times(c, f, out)`
+    writes c v f there into `out`, with v = x for the power basis and
+    v = t = 2x - 1 for the shifted Chebyshev and Legendre bases.
+    """
+    for i in range(len(F) - 1):
+        f, nxt = F[i], F[i + 1]
+        if kind == POWER or i == 0:
+            times(1.0, f, nxt)
+        elif kind == CHEBYSHEV:
+            times(2.0, f, nxt)
+            nxt -= F[i - 1]
+        else:
+            times(2 * i + 1, f, nxt)
+            nxt -= i * F[i - 1]
+            nxt /= i + 1
+
+
+@functools.cache
+def _change_of_basis(kind: str, m: int, target: str) -> np.ndarray:
+    """Read-only, lower triangular M with f_i = sum_k M[i, k] g_k.
+
+    g_k is x^k for target POWER and T_k(2x - 1) for target CHEBYSHEV, and
+    the recurrence runs on coefficients in g, where multiplying by x or t
+    is a matrix product. Row i has degree i, so no product reaches past
+    degree m, and the Chebyshev basis maps to exactly the identity.
+    """
+    shift = np.eye(m + 1, k=-1)  # x x^k = x^k+1
+    if target == POWER:
+        v = shift if kind == POWER else 2.0 * shift - np.eye(m + 1)
+    else:
+        t = 0.5 * (shift + shift.T)  # t T_k = (T_k+1 + T_k-1) / 2
+        t[1:2, 0] = 1.0  # t T_0 = T_1
+        v = 0.5 * (np.eye(m + 1) + t) if kind == POWER else t
+    M = np.eye(m + 1)  # row 0 is f_0 = 1, and the recurrence writes every other row
+    _recurrence(kind, M, lambda c, f, out: np.multiply(c, v @ f, out))
+    M.flags.writeable = False
+    return M
 
 
 @dataclass

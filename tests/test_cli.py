@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ def write_five_negative(tmp_path):
     lam[:5] = -0.05
     path = tmp_path / "indef.mtx"
     write_matrix_market(DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True), path)
+    return str(path)
+
+
+def write_tridiagonal(tmp_path):
+    """n=300, diagonal linspace(0.7, 1), off-diagonal 0.05: lambda_min 0.608, lambda_u 1.099."""
+    n = 300
+    A = np.diag(np.linspace(0.7, 1.0, n)) + 0.05 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    path = tmp_path / "tridiag.mtx"
+    write_matrix_market(DenseOperator(A), path)
     return str(path)
 
 
@@ -92,6 +102,17 @@ class TestEstimate:
         # small compared with the ~90% errors in the ill-conditioned regime;
         # the residual is degree-30 interpolation bias over [1e-6, 1]
         assert abs(out["value"] - exact) / abs(exact) < 0.15
+
+    def test_min_eig_floor_past_half_is_estimated(self, tmp_path, capsys):
+        # --min-eig 0.6 is a correct bound, and 0.6 / lambda_u = 0.546
+        code = main(["estimate", "--mtx", write_tridiagonal(tmp_path), "--min-eig", "0.6"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("logdet[maxent] = -51.66")
+
+    def test_min_eig_above_lambda_u_is_numerical_error(self, tmp_path, capsys):
+        code = main(["estimate", "--mtx", write_tridiagonal(tmp_path), "--min-eig", "1.2"])
+        assert code == 4
+        assert "min_eigenvalue above lambda_u" in capsys.readouterr().err
 
     def test_missing_source_is_parse_error(self, capsys):
         assert main(["estimate", "--method", "exact"]) == 3
@@ -314,6 +335,22 @@ class TestBench:
         assert hints == [spec.noise for spec in specs]
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [float(r["lengthscale"]) for r in rows] == [s.lengthscale for s in specs]
+
+    def test_each_kernel_freed_before_the_next_is_built(self, monkeypatch, capsys):
+        built = []
+
+        def tracked_kernel(spec):
+            assert [ref() for ref in built] == [None] * len(built)
+            op = DenseOperator((1.0 + spec.lengthscale) * np.eye(3))
+            built.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(cli, "se_kernel", tracked_kernel)
+        assert main(["bench", "--lengthscales", "0.3,0.4,0.5", "--methods", "maxent,exact",
+                     "-m", "4", "-d", "2"]) == 0
+        assert len(built) == 3
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 6
 
     @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["no-directory", "a-directory"])
     def test_unwritable_csv_is_usage_error_before_any_estimate(self, target, tmp_path,

@@ -44,6 +44,13 @@ def five_negative_eigenvalues():
     return DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True)
 
 
+def tridiagonal_floor_case():
+    """n=300, diagonal linspace(0.7, 1), off-diagonal 0.05: lambda_min 0.608, lambda_u 1.099."""
+    n = 300
+    A = np.diag(np.linspace(0.7, 1.0, n)) + 0.05 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return DenseOperator(A)
+
+
 class CountingOperator(LinearOperator):
     """Delegates to a dense operator and counts block products."""
 
@@ -116,6 +123,21 @@ class TestMaxent:
         est = logdet_maxent(op, cfg)
         assert est.converged
         assert abs(est.value - exact) / abs(exact) < 0.5
+
+    def test_certified_floor_past_half(self):
+        # min_eigenvalue / lambda_u = 0.546: the grid floor is capped below 1/2
+        op = tridiagonal_floor_case()
+        exact = logdet_exact(op)
+        est = logdet_maxent(op, EstimatorConfig(min_eigenvalue=0.6))
+        assert est.converged
+        assert abs(est.value - exact) / abs(exact) < 0.01
+        # a floor of exactly 1 is still a valid bound
+        lam_u = gershgorin_upper_bound(op)
+        assert logdet_maxent(op, EstimatorConfig(min_eigenvalue=lam_u)).value == est.value
+
+    def test_min_eigenvalue_above_lambda_u_is_refused(self):
+        with pytest.raises(ValueError, match="a min_eigenvalue above lambda_u"):
+            logdet_maxent(tridiagonal_floor_case(), EstimatorConfig(min_eigenvalue=1.2))
 
     def test_value_stable_under_round_off_in_moments(self):
         # moments that differ by round-off must give the same estimate: the

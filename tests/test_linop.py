@@ -194,6 +194,29 @@ class TestDenseOperator:
             tracemalloc.stop()
         assert peak < A.nbytes // 50
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (5, 200), (130, 140), (256, 130), (100, 299),
+                                      (299, 0), (298, 299)])
+    def test_one_asymmetric_entry_in_any_tile_detected(self, i, j):
+        # 300 rows span three 128-row tiles, the last one short
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((300, 300))
+        A = A + A.T
+        assert DenseOperator(A).symmetric
+        A[i, j] += 1e-12
+        assert not DenseOperator(A).symmetric
+
+    def test_symmetry_check_allocates_no_n_by_n_mask(self):
+        # an A == A.T mask alone would be A.nbytes / 8
+        A = np.eye(1000)
+        tracemalloc.start()
+        try:
+            op = DenseOperator(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.symmetric
+        assert peak < A.nbytes // 50
+
     def test_base_class_has_no_product(self):
         with pytest.raises(NotImplementedError):
             LinearOperator().matmat(np.ones((2, 2)))

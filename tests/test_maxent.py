@@ -7,7 +7,7 @@ from scipy.special import digamma
 
 from specdet.maxent import (BetaPrior, DegenerateSpectrumError, DualProblem,
                             SolverConfig, SurrogateDensity, UniformPrior,
-                            _moment_penalty, _newton_step, fit_beta_prior,
+                            _moment_penalty, _newton_step, _prior_grid, fit_beta_prior,
                             integrate_log_expectation, quadrature_grid, solve)
 from specdet.probes import CHEBYSHEV, POWER, MomentBasis, SpectralMoments
 
@@ -35,14 +35,11 @@ def exact_moments(basis, values):
 
 class TestPriors:
     def test_uniform_density_normalized(self):
-        prior = UniformPrior(delta=1e-14)
+        prior = UniformPrior()
         lam = np.linspace(0.1, 1.0, 5)
         assert np.allclose(prior.density(lam), 1.0 / (1.0 - 1e-14))
         assert prior.density(np.array([1e-15]))[0] == 0.0
-
-    def test_uniform_delta_validation(self):
-        with pytest.raises(ValueError):
-            UniformPrior(delta=0.0)
+        assert prior.support_floor == SolverConfig().floor == 1e-14
 
     def test_beta_matches_scipy(self):
         prior = BetaPrior(gamma=2.0, beta=5.0)
@@ -73,17 +70,31 @@ class TestFitBetaPrior:
 
 class TestQuadratureGrid:
     def test_weights_sum_to_interval_length(self):
-        nodes, w = quadrature_grid(1e-14, panels=30, nodes_per_panel=16)
+        nodes, w = quadrature_grid(1e-14)
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert nodes.min() > 0.0 and nodes.max() < 1.0
 
     def test_resolves_log_singularity(self):
-        nodes, w = quadrature_grid(1e-14, panels=30, nodes_per_panel=16)
+        nodes, w = quadrature_grid(1e-14)
         assert (w * np.log(nodes)).sum() == pytest.approx(-1.0, abs=1e-6)
 
     def test_floor_validation(self):
         with pytest.raises(ValueError):
-            quadrature_grid(0.7, panels=10, nodes_per_panel=8)
+            quadrature_grid(0.7)
+
+    def test_floor_at_or_above_half_shares_the_largest_grid(self):
+        # a certified floor in [1/2, 1] is valid; the grid cannot start there,
+        # so it gets the grid of the largest floor quadrature_grid takes
+        top = quadrature_grid(np.nextafter(0.5, 0.0))
+        for floor in (0.5, 0.546, 1.0):
+            nodes, w = _prior_grid(UniformPrior(), SolverConfig(floor=floor))
+            assert np.array_equal(nodes, top[0])
+            assert np.array_equal(w, top[1] * UniformPrior().density(top[0]))
+
+    def test_floor_below_half_is_the_grid_floor(self):
+        for floor in (1e-14, 1e-3, 0.25, 0.4999):
+            nodes, w = _prior_grid(BetaPrior(2.0, 5.0), SolverConfig(floor=floor))
+            assert np.array_equal(nodes, quadrature_grid(floor)[0])
 
 
 class TestDualObjective:
@@ -239,6 +250,12 @@ class TestSolve:
         # eta = 0 stays 0 under escalation: a failing factorization looped forever
         with pytest.raises(ValueError, match="jitter"):
             SolverConfig(jitter=jitter)
+
+    @pytest.mark.parametrize("floor", [1.0 + 1e-12, 5.0, 0.0, -1e-3, float("nan")])
+    def test_floor_validation(self, floor):
+        # a floor past 1 is a min_eigenvalue past lambda_u: no lower bound
+        with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\]"):
+            SolverConfig(floor=floor)
 
 
 class TestNewtonStep:

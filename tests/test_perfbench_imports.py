@@ -1,8 +1,14 @@
-"""The benchmark's import surface: every name perfbench takes from specdet exists."""
+"""The benchmark's use of specdet: the names it imports exist, and its maxent replay holds."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
+
+from specdet import EstimatorConfig, KernelSpec, logdet_maxent, se_kernel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,9 +35,39 @@ def resolves(module: str, name: str) -> bool:
     return True
 
 
+def load_perfbench(name: str, monkeypatch):
+    """perfbench/<name>.py as a module, loaded by path without touching sys.path.
+
+    It is listed in sys.modules for the test only; dataclasses look their
+    module up there.
+    """
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_imports_resolve():
     imports = specdet_imports()
     assert imports, "perfbench imports nothing from specdet"
     missing = [f"{file}: from {module} import {name}" for file, module, name in imports
                if not resolves(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian"])
+def test_maxent_replay_is_bit_identical(case, monkeypatch):
+    # every benchmark run fails unless spans.maxent_replay equals logdet_maxent
+    spans = load_perfbench("spans", monkeypatch)
+    if case == "small-se-kernel":
+        op = se_kernel(KernelSpec(n=256, dim=6, lengthscale=0.65, noise=1e-8, seed=3))
+        cfg = EstimatorConfig(m=30, d=30, seed=11, min_eigenvalue=1e-8)
+    else:
+        op = load_perfbench("workloads", monkeypatch).laplacian_2d(30)
+        cfg = EstimatorConfig(m=30, d=10, seed=0)
+    tracer = spans.Tracer()
+    traced = spans.TracedOperator(op, tracer)
+    value, _, result = spans.maxent_replay(traced, cfg, tracer)
+    assert result.converged
+    assert value == logdet_maxent(traced, cfg).value

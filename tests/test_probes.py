@@ -126,6 +126,23 @@ class TestMomentBasis:
             assert np.array_equal(L, np.tril(L))
             assert np.allclose(T @ L.T, basis.vandermonde(lam), atol=1e-13)
 
+    @pytest.mark.parametrize("m", [0, 1, 8, 30])
+    def test_chebyshev_change_of_basis_is_exactly_the_identity(self, m):
+        assert np.array_equal(MomentBasis(CHEBYSHEV, m).chebyshev_matrix(), np.eye(m + 1))
+
+    @pytest.mark.parametrize("kind, tol", [(POWER, 1e-15), (LEGENDRE, 1e-14)])
+    def test_chebyshev_matrix_reproduces_the_basis_at_high_order(self, kind, tol):
+        lam = np.linspace(0.0, 1.0, 2001)
+        basis = MomentBasis(kind, 30)
+        T = MomentBasis(CHEBYSHEV, 30).vandermonde(lam)
+        assert np.abs(T @ basis.chebyshev_matrix().T - basis.vandermonde(lam)).max() <= tol
+
+    def test_changes_of_basis_are_shared_read_only(self):
+        basis = MomentBasis(LEGENDRE, 6)
+        for M in (basis.to_power_matrix(), basis.chebyshev_matrix()):
+            assert not M.flags.writeable
+        assert basis.to_power_matrix() is MomentBasis(LEGENDRE, 6).to_power_matrix()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown basis kind"):
             MomentBasis("fourier", 3)
