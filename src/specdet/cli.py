@@ -92,7 +92,7 @@ def _load_operator(args) -> tuple:
 
 def _estimator_config(args, min_eig_hint: float | None = None) -> EstimatorConfig:
     """The estimator flags as a config; ValueError names an out-of-range one."""
-    solver = SolverConfig(gtol=args.gtol, jitter=args.jitter)
+    solver = SolverConfig(gtol=args.gtol)
     min_eig = args.min_eig if args.min_eig is not None else min_eig_hint
     return EstimatorConfig(m=args.moments, d=args.probes, seed=args.seed,
                            basis=args.basis, prior=args.prior, solver=solver,
@@ -125,7 +125,6 @@ def _add_moment_flags(p: argparse.ArgumentParser, probes: int = EstimatorConfig.
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--prior", choices=PRIORS, default=EstimatorConfig.prior)
     p.add_argument("--gtol", type=float, default=SolverConfig.gtol)
-    p.add_argument("--jitter", type=float, default=SolverConfig.jitter)
     p.add_argument("--min-eig", type=float, default=None, metavar="LAMBDA",
                    help="known lower bound on the spectrum (defaults to the "
                         "diagonal noise for synthetic kernels)")

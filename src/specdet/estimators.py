@@ -93,7 +93,8 @@ def logdet_exact(op: LinearOperator) -> float:
 
 
 def _choose_prior(cfg: EstimatorConfig, moments) -> maxent.PriorSpec:
-    if cfg.prior == "uniform":
+    """The configured prior; `auto` fits a Beta, or falls back to Uniform when none fits."""
+    if cfg.prior == "uniform" or cfg.m < 2:  # a Beta fit needs two moments
         return UniformPrior()
     p = moments_to_power(moments)
     try:
@@ -121,7 +122,7 @@ def _estimate(method: str, op: LinearOperator, cfg: EstimatorConfig | None,
 
 
 def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
-    if cfg.m < 2 and cfg.prior != "uniform":
+    if cfg.m < 2 and cfg.prior == "beta":
         raise ValueError("prior fitting needs at least two moments")
     moments = estimate_moments(B, MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
     prior = _choose_prior(cfg, moments)

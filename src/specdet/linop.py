@@ -5,9 +5,9 @@ applied to every column of an n-by-k array at once), the dimension, and a
 cheap upper bound on the largest eigenvalue, so operators expose exactly
 that. Operators also report the bytes of the matrix they store (`nbytes`),
 which sizes the working memory an estimator may spend next to them. A
-sparse symmetric matrix is given as one triangle; its operator keeps that
-triangle plus one CSR matrix holding both, so a product is a single
-sparse-times-dense call.
+sparse symmetric matrix is given as one triangle; its operator keeps one
+CSR matrix holding both triangles, so a product is a single
+sparse-times-dense call, and reads the triangle back out of it.
 
 A dense product A X is one call to `scipy.linalg.blas.dgemm`, the
 OpenBLAS that the Cholesky oracle and the condition number's eigensolve
@@ -139,13 +139,15 @@ class DenseOperator(LinearOperator):
 class SparseOperator(LinearOperator):
     """Symmetric sparse operator built from its lower triangle.
 
-    `lower` keeps the triangle as given, for writing it back out; products,
-    the dense copy and the row sums use one CSR matrix holding the whole
-    matrix, lower plus the transpose of its strictly lower part. Adding
-    only entries of disjoint positions keeps every value as given, however
-    large. CSR products stay as scipy computes them, row-major: on the
-    n=22,500 grid Laplacian with 10 columns they take 0.55 ms on row-major
-    blocks against 2.2-2.4 ms on column-major or strided ones.
+    The operator stores one CSR matrix holding the whole matrix, lower
+    plus the transpose of its strictly lower part; products, the dense
+    copy, the diagonal and the row sums all read it. Adding only entries
+    of disjoint positions keeps every value as given, however large, and
+    drops explicit zeros, so `lower`, the triangle read back out of it for
+    writing, holds every nonzero entry given and no explicit zero. CSR
+    products stay as scipy computes them, row-major: on the n=22,500 grid
+    Laplacian with 10 columns they take 0.55 ms on row-major blocks
+    against 2.2-2.4 ms on column-major or strided ones.
     """
 
     def __init__(self, lower: sp.csr_matrix, n: int):
@@ -156,7 +158,6 @@ class SparseOperator(LinearOperator):
             raise ValueError("lower-triangle storage must be n-by-n")
         if not np.isfinite(lower.data).all():
             raise ValueError("matrix contains non-finite entries")
-        self.lower = lower
         self._full = sp.csr_matrix(lower + sp.tril(lower, -1).T)
         self.n = n
         self.symmetric = True
@@ -173,19 +174,23 @@ class SparseOperator(LinearOperator):
         lower = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
         return cls(lower, n)
 
+    @property
+    def lower(self) -> sp.csr_matrix:
+        return sp.tril(self._full, format="csr")
+
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self._full @ X
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for M in (self.lower, self._full)
-                   for a in (M.data, M.indices, M.indptr))
+        M = self._full
+        return M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
 
     def to_dense(self) -> np.ndarray:
         return self._full.toarray()
 
     def diagonal(self) -> np.ndarray:
-        return self.lower.diagonal()
+        return self._full.diagonal()
 
     def abs_row_sums(self) -> np.ndarray:
         return np.asarray(abs(self._full).sum(axis=1)).ravel()
@@ -230,7 +235,7 @@ def read_matrix_market(path) -> SparseOperator:
 
     The entry list is parsed in one numpy pass; comments and blank lines
     may appear anywhere in it. Entries of either triangle are folded into
-    the lower one, which the operator keeps next to the full matrix it
+    the lower one, from which the operator builds the full matrix it
     multiplies with. Raises MatrixMarketError for malformed headers, size
     lines and entry lines, non-symmetric declarations, non-square sizes,
     an entry count that differs from the declared one, and out-of-range
@@ -288,7 +293,11 @@ def read_matrix_market(path) -> SparseOperator:
 
 
 def write_matrix_market(op: LinearOperator, path) -> None:
-    """Write the lower triangle as coordinate real symmetric, full precision."""
+    """Write the lower triangle as coordinate real symmetric, full precision.
+
+    Only nonzero entries are written: a dense operator's zeros are skipped,
+    and a sparse operator holds no explicit zero.
+    """
     if not op.symmetric:
         raise ValueError("only symmetric operators can be written as symmetric files")
     if isinstance(op, SparseOperator):

@@ -10,13 +10,15 @@ is found by minimizing the convex dual
     S(alpha) = int q0 exp(-[1 + sum alpha_i f_i]) dx + sum alpha_i mu_i
 
 with a damped Newton method. Each step is a Cholesky solve with the
-Hessian plus diagonal jitter, the jitter growing tenfold while the
-factorization fails, and the exponential weights of each trial point of
-the line search are computed once and give the objective, the gradient
-and the Hessian there. All integrals use composite
+Hessian plus diagonal jitter, the jitter growing tenfold from _JITTER
+while the factorization fails, and the exponential weights of each trial
+point of the line search are computed once and give the objective, the
+gradient and the Hessian there. All integrals use composite
 Gauss-Legendre panels refined geometrically toward 0, where log has its
-singularity and ill-conditioned spectra pile up mass. The solve returns
-E_q[log x] integrated with the quadrature weights it ended on, so the
+singularity and ill-conditioned spectra pile up mass. The grid starts at
+the solver's floor, which a certified lower bound on the spectrum raises;
+the prior only weights its nodes. The solve returns E_q[log x]
+integrated with the quadrature weights it ended on, so the
 log-determinant estimate needs no second grid.
 """
 
@@ -36,12 +38,12 @@ _MAX_ITER = 500  # Newton iterations before the solve stops unconverged
 _PANELS = 30  # geometric Gauss-Legendre panels toward each end of (0, 1)
 _NODES_PER_PANEL = 16
 _RIDGE = 1.0  # multiplier on the per-moment squared-standard-error penalty
+_JITTER = 1e-8  # Newton-step jitter tried first
 _MAX_JITTER = 1e-2  # Newton-step jitter past which the solve gives up
 _CEIL_GAP = 1e-10  # distance of the last quadrature panel edge from 1
-_UNIFORM_FLOOR = 1e-14  # lower end of the uniform prior's support; keeps log integrable
-# the largest floor quadrature_grid takes; a certified floor at or above 1/2
-# gets this grid, which covers [1/2, 1) as every smaller floor's grid does
-_MAX_GRID_FLOOR = float(np.nextafter(0.5, 0.0))
+# the smallest and default quadrature floor, which keeps log integrable; the
+# uniform prior's support starts here too, so it covers every grid
+_MIN_FLOOR = 1e-14
 
 
 class DegenerateSpectrumError(ValueError):
@@ -50,15 +52,11 @@ class DegenerateSpectrumError(ValueError):
 
 @dataclass(frozen=True)
 class UniformPrior:
-    """Flat prior on [_UNIFORM_FLOOR, 1]."""
-
-    @property
-    def support_floor(self) -> float:
-        return _UNIFORM_FLOOR
+    """Flat prior on [_MIN_FLOOR, 1]."""
 
     def density(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
-        return np.where((lam >= _UNIFORM_FLOOR) & (lam <= 1.0), 1.0 / (1.0 - _UNIFORM_FLOOR), 0.0)
+        return np.where((lam >= _MIN_FLOOR) & (lam <= 1.0), 1.0 / (1.0 - _MIN_FLOOR), 0.0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,6 @@ class BetaPrior:
     def __post_init__(self):
         if self.gamma <= 0 or self.beta <= 0:
             raise ValueError("Beta prior parameters must be positive")
-
-    @property
-    def support_floor(self) -> float:
-        return 0.0
 
     def density(self, lam: np.ndarray) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -108,20 +102,17 @@ def fit_beta_prior(mu1: float, mu2: float) -> BetaPrior:
 @dataclass
 class SolverConfig:
     gtol: float = 1e-6
-    jitter: float = 1e-8
-    floor: float = 1e-14  # quadrature lower endpoint when the prior allows mass there
+    floor: float = _MIN_FLOOR  # lower end of the quadrature grid
 
     def __post_init__(self):
         if not 0.0 < self.gtol < np.inf:  # the negated form also rejects nan
             raise ValueError(f"gtol must be positive and finite, got {self.gtol}")
-        # a jitter of 0 never escalates, so a failing factorization would loop
-        if not (0.0 < self.jitter <= _MAX_JITTER):
-            raise ValueError(f"jitter must be positive and at most {_MAX_JITTER}")
         # the floor is min_eigenvalue / lambda_u when a spectral lower bound is
         # given, and no eigenvalue exceeds the Gershgorin upper bound lambda_u
-        if not 0.0 < self.floor <= 1.0:
-            raise ValueError(f"floor must lie in (0, 1], got {self.floor:.6g}; above 1 it is "
-                             "a min_eigenvalue above lambda_u, the spectrum's upper bound")
+        if not _MIN_FLOOR <= self.floor <= 1.0:
+            raise ValueError(f"floor must lie in [{_MIN_FLOOR:g}, 1], got {self.floor:.6g}; "
+                             "above 1 it is a min_eigenvalue above lambda_u, the spectrum's "
+                             "upper bound")
 
 
 @dataclass
@@ -160,32 +151,30 @@ def _panel_rule():
 
 
 def quadrature_grid(floor: float):
-    """Composite Gauss-Legendre nodes/weights on [floor, 1 - _CEIL_GAP].
+    """Composite Gauss-Legendre nodes/weights on [min(floor, 1/2), 1 - _CEIL_GAP].
 
-    Panel edges refine geometrically toward both endpoints: toward 0 for
-    the log singularity and ill-conditioned spectral mass, and toward 1 so
-    no low-degree exponent polynomial can hide a spike between the last
-    node and the boundary (a degree-m Chebyshev feature is no narrower
-    than ~1/m^2, far wider than the terminal gap).
+    Panel edges refine geometrically toward both endpoints: toward the
+    floor for the log singularity and ill-conditioned spectral mass, and
+    toward 1 so no low-degree exponent polynomial can hide a spike between
+    the last node and the boundary (a degree-m Chebyshev feature is no
+    narrower than ~1/m^2, far wider than the terminal gap). Each run has
+    _PANELS panels and meets the other at 1/2; a floor of 1/2 or more gets
+    the upper run alone, which covers [floor, 1).
     """
-    if not (0.0 < floor < 0.5):
-        raise ValueError("floor must lie in (0, 0.5)")
+    if not _MIN_FLOOR <= floor <= 1.0:  # the negated form also rejects nan
+        raise ValueError(f"floor must lie in [{_MIN_FLOOR:g}, 1], got {floor:.6g}")
     x, w = _panel_rule()
-    left = floor * (0.5 / floor) ** (np.arange(_PANELS + 1) / _PANELS)
-    gaps = 0.5 * (_CEIL_GAP / 0.5) ** (np.arange(_PANELS + 1) / _PANELS)
-    edges = np.concatenate([left, (1.0 - gaps)[1:]])
+    t = np.arange(_PANELS + 1) / _PANELS
+    upper = 1.0 - 0.5 * (_CEIL_GAP / 0.5) ** t
+    edges = upper if floor >= 0.5 else np.concatenate([floor * (0.5 / floor) ** t, upper[1:]])
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = edges[:-1, None] + half * (x + 1.0)
     return nodes.ravel(), (half * w).ravel()
 
 
 def _prior_grid(prior: PriorSpec, config: SolverConfig):
-    """Quadrature nodes on [max(prior floor, config.floor), 1) and w * q0 there.
-
-    A floor of 1/2 or more is lowered to _MAX_GRID_FLOOR.
-    """
-    floor = min(max(prior.support_floor, config.floor), _MAX_GRID_FLOOR)
-    nodes, w = quadrature_grid(floor)
+    """The quadrature grid of config.floor, with weights w * q0 at its nodes."""
+    nodes, w = quadrature_grid(config.floor)
     return nodes, w * prior.density(nodes)
 
 
@@ -260,14 +249,14 @@ def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
     return _RIDGE * moments.variance / moments.probes
 
 
-def _newton_step(H: np.ndarray, g: np.ndarray, config: SolverConfig) -> np.ndarray:
+def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve (H + eta I) s = -g by Cholesky, escalating eta tenfold on failure.
 
-    eta starts at config.jitter. A failed factorization, or a zero or
+    eta starts at _JITTER. A failed factorization, or a zero or
     non-finite step, raises it; past _MAX_JITTER the solve gives up.
     """
     eye = np.eye(len(g))
-    eta = config.jitter
+    eta = _JITTER
     while True:
         try:
             factor = scipy.linalg.cho_factor(H + eta * eye, check_finite=False)
@@ -288,7 +277,7 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     """Damped Newton minimization of the dual, starting from alpha = 0.
 
     Each Newton step is a Cholesky solve with the Hessian plus diagonal
-    jitter, escalated tenfold from config.jitter up to _MAX_JITTER
+    jitter, escalated tenfold from _JITTER up to _MAX_JITTER
     while the factorization fails or the step is zero or non-finite. Steps
     are damped by Armijo backtracking; the exponential weights of the
     accepted trial point give the next objective, gradient and Hessian.
@@ -306,7 +295,7 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
         gnorm = float(np.abs(g).max())
         if gnorm < config.gtol or iterations == _MAX_ITER:
             break
-        step = _newton_step(problem._hessian(we), g, config)
+        step = _newton_step(problem._hessian(we), g)
         slope = g @ step
         t = 1.0
         while True:

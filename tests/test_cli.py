@@ -1,9 +1,13 @@
 """Command-line interface: parsing, exit codes, and output formats."""
 
+import argparse
 import csv
 import io
 import json
+import re
+import shlex
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +113,11 @@ class TestEstimate:
         assert code == 0
         assert capsys.readouterr().out.startswith("logdet[maxent] = -51.66")
 
+    def test_one_moment_is_estimated(self, tmp_path, capsys):
+        # the auto prior falls back to uniform: no Beta fits one moment
+        assert main(["estimate", "--mtx", write_diag124(tmp_path), "-m", "1", "--json"]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
+
     def test_min_eig_above_lambda_u_is_numerical_error(self, tmp_path, capsys):
         code = main(["estimate", "--mtx", write_tridiagonal(tmp_path), "--min-eig", "1.2"])
         assert code == 4
@@ -164,12 +173,11 @@ class TestEstimate:
         ("--identity", "20", "--gtol", "0"), ("--identity", "20", "--gtol", "inf"),
         ("--identity", "20", "--gtol", "nan"), ("--identity", "20", "--min-eig", "nan"),
         ("--identity", "20", "--min-eig", "inf"), ("--identity", "20", "--seed", "-1"),
-        ("--identity", "20", "--jitter", "0"), ("--identity", "20", "-m", "0"),
-        ("--identity", "20", "-d", "0"),
+        ("--identity", "20", "-m", "0"), ("--identity", "20", "-d", "0"),
         # the flags are checked before the kernel is built
         ("--se-kernel", "n=20", "--seed", "-1")],
         ids=["gtol", "gtol=inf", "gtol=nan", "min-eig=nan", "min-eig=inf", "seed=-1",
-             "jitter", "m", "d", "se-kernel-seed=-1"])
+             "m", "d", "se-kernel-seed=-1"])
     def test_out_of_range_estimator_flag_is_usage_error(self, argv, capsys):
         assert main(["estimate", *argv]) == 2
         err = capsys.readouterr().err
@@ -479,3 +487,24 @@ def test_non_finite_entry_is_parse_error(command, tmp_path, capsys):
     argv = [command, str(path)] if command == "bench" else [command, "--mtx", str(path)]
     assert main(argv) == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def readme_command_line_section():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    block = readme_command_line_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("logdet ")]
+    assert lines
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_flags_are_options():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {flag for p in subparsers.choices.values() for flag in p._option_string_actions}
+    written = set(re.findall(r"`(--[a-z][a-z0-9-]*)", readme_command_line_section()))
+    assert written and written <= options, written - options

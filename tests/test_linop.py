@@ -229,12 +229,12 @@ class TestNbytes:
         A = tridiag(40)
         assert DenseOperator(A).nbytes == A.nbytes == 40 * 40 * 8
 
-    def test_sparse_counts_both_csr_matrices(self):
+    def test_sparse_counts_its_csr_matrix(self):
+        # the lower triangle is read out of the full matrix, not stored
         op = SparseOperator.from_coo([0, 1, 1, 2], [0, 0, 1, 2],
                                      [2.0, -1.0, 2.0, 3.0], 3)
-        want = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-                   for M in (op.lower, op._full))
-        assert op.nbytes == want
+        M = op._full
+        assert op.nbytes == M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
         assert op._full.nnz == 5 and op.lower.nnz == 4
 
     def test_delegating_subclass_reports_unknown(self):
@@ -383,6 +383,15 @@ class TestMatrixMarket:
         assert path.read_text() == (
             "%%MatrixMarket matrix coordinate real symmetric\n"
             "3 3 5\n1 1 4\n2 1 -1\n2 2 4\n3 2 0.10000000000000001\n3 3 2\n")
+
+    def test_sparse_explicit_zeros_are_not_written(self, tmp_path):
+        # the operator keeps no explicit zero, on or off the diagonal
+        op = SparseOperator.from_coo([0, 1, 1, 2], [0, 0, 1, 2], [2.0, 0.0, 3.0, 0.0], 3)
+        path = tmp_path / "zeros.mtx"
+        write_matrix_market(op, path)
+        assert path.read_text() == (
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 2\n2 2 3\n")
+        assert np.array_equal(read_matrix_market(path).to_dense(), np.diag([2.0, 3.0, 0.0]))
 
     def test_sparse_round_trip_keeps_csr_arrays(self, tmp_path):
         n = 30

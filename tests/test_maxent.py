@@ -39,7 +39,8 @@ class TestPriors:
         lam = np.linspace(0.1, 1.0, 5)
         assert np.allclose(prior.density(lam), 1.0 / (1.0 - 1e-14))
         assert prior.density(np.array([1e-15]))[0] == 0.0
-        assert prior.support_floor == SolverConfig().floor == 1e-14
+        # its support starts at the smallest floor a grid may have
+        assert prior.density(np.array([SolverConfig().floor]))[0] > 0.0
 
     def test_beta_matches_scipy(self):
         prior = BetaPrior(gamma=2.0, beta=5.0)
@@ -79,17 +80,22 @@ class TestQuadratureGrid:
         assert (w * np.log(nodes)).sum() == pytest.approx(-1.0, abs=1e-6)
 
     def test_floor_validation(self):
-        with pytest.raises(ValueError):
-            quadrature_grid(0.7)
+        # below 1e-14 (a subnormal floor made a NaN grid) or past 1
+        for floor in (1e-15, 5e-324, 0.0, -1e-3, 1.0 + 1e-12, float("nan")):
+            with pytest.raises(ValueError, match=r"floor must lie in \[1e-14, 1\]"):
+                quadrature_grid(floor)
 
-    def test_floor_at_or_above_half_shares_the_largest_grid(self):
+    def test_floor_at_or_above_half_is_the_upper_run(self):
         # a certified floor in [1/2, 1] is valid; the grid cannot start there,
-        # so it gets the grid of the largest floor quadrature_grid takes
-        top = quadrature_grid(np.nextafter(0.5, 0.0))
+        # so it gets the 30 panels toward 1 that end every grid, and no more
+        full_nodes, full_w = quadrature_grid(1e-14)
         for floor in (0.5, 0.546, 1.0):
-            nodes, w = _prior_grid(UniformPrior(), SolverConfig(floor=floor))
-            assert np.array_equal(nodes, top[0])
-            assert np.array_equal(w, top[1] * UniformPrior().density(top[0]))
+            nodes, w = quadrature_grid(floor)
+            assert len(nodes) == 480 and (w > 0.0).all()
+            assert np.array_equal(nodes, full_nodes[-480:])
+            assert np.array_equal(w, full_w[-480:])
+            _, wq0 = _prior_grid(UniformPrior(), SolverConfig(floor=floor))
+            assert np.array_equal(wq0, w * UniformPrior().density(nodes))
 
     def test_floor_below_half_is_the_grid_floor(self):
         for floor in (1e-14, 1e-3, 0.25, 0.4999):
@@ -245,17 +251,24 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(gtol=0.0)
 
-    @pytest.mark.parametrize("jitter", [0.0, -1e-8, 1e-1])
-    def test_jitter_validation(self, jitter):
-        # eta = 0 stays 0 under escalation: a failing factorization looped forever
-        with pytest.raises(ValueError, match="jitter"):
-            SolverConfig(jitter=jitter)
-
-    @pytest.mark.parametrize("floor", [1.0 + 1e-12, 5.0, 0.0, -1e-3, float("nan")])
+    @pytest.mark.parametrize("floor", [1.0 + 1e-12, 5.0, 0.0, -1e-3, float("nan"),
+                                       1e-15, 5e-324])
     def test_floor_validation(self, floor):
-        # a floor past 1 is a min_eigenvalue past lambda_u: no lower bound
-        with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\]"):
+        # a floor past 1 is a min_eigenvalue past lambda_u: no lower bound;
+        # one below 1e-14 could be subnormal, which made a NaN grid
+        with pytest.raises(ValueError, match=r"floor must lie in \[1e-14, 1\]"):
             SolverConfig(floor=floor)
+
+    @pytest.mark.parametrize("floor", [1e-14, 0.6])
+    def test_log_expectation_is_integrated_on_the_solve_grid(self, floor):
+        # moments of the flat density on [floor, 1]; at 0.6 the grid is the upper run
+        basis = MomentBasis(CHEBYSHEV, 8)
+        k = np.arange(basis.order + 1)
+        power = (1.0 - floor ** (k + 1)) / ((k + 1) * (1.0 - floor))
+        solver = SolverConfig(floor=floor)
+        result = solve(exact_moments(basis, basis.to_power_matrix() @ power),
+                       UniformPrior(), solver)
+        assert integrate_log_expectation(result.density, solver) == result.log_expectation
 
 
 class TestNewtonStep:
@@ -263,12 +276,12 @@ class TestNewtonStep:
         # -1e-6 curvature defeats eta = 1e-8, 1e-7 and 1e-6 (a zero pivot)
         H = np.diag([1.0, -1e-6])
         g = np.array([1.0, 1.0])
-        step = _newton_step(H, g, SolverConfig())
+        step = _newton_step(H, g)
         assert step == pytest.approx(-g / (np.diag(H) + 1e-5), rel=1e-9)
 
     def test_indefinite_past_max_jitter_raises(self):
         with pytest.raises(RuntimeError, match="maximum jitter"):
-            _newton_step(np.diag([1.0, -1.0]), np.ones(2), SolverConfig())
+            _newton_step(np.diag([1.0, -1.0]), np.ones(2))
 
 
 class TestIntegrateLogExpectation:

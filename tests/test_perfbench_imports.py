@@ -6,9 +6,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specdet import EstimatorConfig, KernelSpec, logdet_maxent, se_kernel
+from specdet import DenseOperator, EstimatorConfig, KernelSpec, logdet_maxent, se_kernel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,18 +57,22 @@ def test_perfbench_imports_resolve():
     assert missing == []
 
 
-@pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian"])
+@pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian", "diag-no-hint"])
 def test_maxent_replay_is_bit_identical(case, monkeypatch):
     # every benchmark run fails unless spans.maxent_replay equals logdet_maxent
     spans = load_perfbench("spans", monkeypatch)
     if case == "small-se-kernel":
         op = se_kernel(KernelSpec(n=256, dim=6, lengthscale=0.65, noise=1e-8, seed=3))
         cfg = EstimatorConfig(m=30, d=30, seed=11, min_eigenvalue=1e-8)
+    elif case == "diag-no-hint":
+        # exact atomic-spectrum moments on the moment-cone boundary: no convergence
+        op = DenseOperator(np.diag([1.0, 2.0, 4.0]))
+        cfg = EstimatorConfig(m=10, d=4, seed=0)
     else:
         op = load_perfbench("workloads", monkeypatch).laplacian_2d(30)
         cfg = EstimatorConfig(m=30, d=10, seed=0)
     tracer = spans.Tracer()
     traced = spans.TracedOperator(op, tracer)
     value, _, result = spans.maxent_replay(traced, cfg, tracer)
-    assert result.converged
+    assert result.converged or case == "diag-no-hint"
     assert value == logdet_maxent(traced, cfg).value
