@@ -290,14 +290,16 @@ def cmd_bench(args) -> int:
     except OSError as exc:
         return _usage_error(f"cannot write --csv: {exc}")
 
-    with out or contextlib.nullcontext(sys.stdout) as fh:
+    # with --json, stdout carries the JSON alone and the CSV goes only to --csv
+    with out or contextlib.nullcontext(None if args.json else sys.stdout) as fh:
         # each kernel is built when its case runs and freed when it ends
         records = [r for spec in specs for r in _bench_case(*_case(spec), methods, args)]
         records += [r for case in files for r in _bench_case(*case, methods, args)]
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows({k: ("" if v is None else v) for k, v in asdict(r).items()}
-                         for r in records)
+        if fh is not None:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows({k: ("" if v is None else v) for k, v in asdict(r).items()}
+                             for r in records)
     if args.json:
         _print_json([asdict(r) for r in records])
     return EXIT_OK

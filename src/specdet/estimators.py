@@ -20,7 +20,7 @@ import scipy.linalg
 
 from . import maxent
 from .linop import LinearOperator, NormalizedOperator, NotPositiveDefiniteError, normalize
-from .maxent import DegenerateSpectrumError, SolverConfig, UniformPrior, fit_beta_prior
+from .maxent import SolverConfig, UniformPrior, fit_beta_prior
 from .probes import (BASIS_KINDS, CHEBYSHEV, MomentBasis, estimate_moments,
                      moments_to_power, probe_matrix)
 
@@ -99,7 +99,7 @@ def _choose_prior(cfg: EstimatorConfig, moments) -> maxent.PriorSpec:
     p = moments_to_power(moments)
     try:
         return fit_beta_prior(float(p.values[1]), float(p.values[2]))
-    except (DegenerateSpectrumError, ValueError):
+    except ValueError:  # a DegenerateSpectrumError is one
         if cfg.prior == "beta":
             raise
         return UniformPrior()
@@ -125,6 +125,10 @@ def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
     if cfg.m < 2 and cfg.prior == "beta":
         raise ValueError("prior fitting needs at least two moments")
     moments = estimate_moments(B, MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
+    if moments.values[1] >= 1.0:
+        # every basis has f_1 < f_1(1) = 1 on [0, 1), so a mean of 1 puts all
+        # the probed spectral mass at 1, where log is 0: no density to fit
+        return 0.0, dict(iterations=0, grad_norm=0.0, converged=True)
     prior = _choose_prior(cfg, moments)
     solver = cfg.solver
     if cfg.min_eigenvalue is not None and cfg.min_eigenvalue > 0.0:

@@ -19,7 +19,9 @@ singularity and ill-conditioned spectra pile up mass. The grid starts at
 the solver's floor, which a certified lower bound on the spectrum raises;
 the prior only weights its nodes. The solve returns E_q[log x]
 integrated with the quadrature weights it ended on, so the
-log-determinant estimate needs no second grid.
+log-determinant estimate needs no second grid. One function,
+`_reweight`, forms q0 exp(-[1 + sum alpha_i f_i]) for the dual, the
+density and the integral alike.
 """
 
 from __future__ import annotations
@@ -130,8 +132,7 @@ class SurrogateDensity:
 
     def density(self, lam: np.ndarray) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        F = self.basis.vandermonde(lam)
-        return self.prior.density(lam) * np.exp(-(1.0 + F @ self.alpha))
+        return _reweight(self.prior.density(lam), self.basis.vandermonde(lam), self.alpha)
 
 
 @dataclass
@@ -139,9 +140,16 @@ class SolveResult:
     density: SurrogateDensity
     iterations: int
     grad_norm: float
-    objective: float
     converged: bool
-    log_expectation: float  # int q log x dx on the solve's grid, clamped at 0
+    log_expectation: float  # int q log x dx on the solve's grid
+
+
+def _reweight(q0: np.ndarray, F: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """q0 * exp(-(1 + F alpha)), refusing an exponent past _EXP_LIMIT."""
+    a = 1.0 + F @ alpha
+    if np.any(-a > _EXP_LIMIT):
+        raise OverflowError("dual exponent overflow; rescale coefficients or reduce the order")
+    return q0 * np.exp(-a)
 
 
 @functools.cache
@@ -179,8 +187,8 @@ def _prior_grid(prior: PriorSpec, config: SolverConfig):
 
 
 def _log_expectation(nodes: np.ndarray, weights: np.ndarray) -> float:
-    """sum weights * log(nodes), clamped at 0: log is at most 0 on (0, 1]."""
-    return min(float(weights @ np.log(nodes)), 0.0)
+    """sum weights * log(nodes), at most 0: nodes lie in (0, 1), weights are >= 0."""
+    return float(weights @ np.log(nodes))
 
 
 class DualProblem:
@@ -191,55 +199,34 @@ class DualProblem:
     keeps the dual bounded when Monte Carlo noise pushes the constraint
     vector outside the attainable moment cone: a coefficient only grows
     large if the moment it matches is known accurately.
+
+    Each of `objective`, `gradient` and `hessian` takes the weights
+    `weights(alpha)` as `we` when the caller already holds them.
     """
 
     def __init__(self, prior: PriorSpec, basis: MomentBasis, moments: np.ndarray,
                  config: SolverConfig | None = None,
                  penalty: np.ndarray | None = None):
-        config = config or SolverConfig()
-        self.prior = prior
-        self.basis = basis
         self.mu = np.asarray(moments, dtype=float)
-        if self.mu.shape != (basis.order + 1,):
-            raise ValueError("moment vector length must match basis order + 1")
-        if penalty is None:
-            self.penalty = np.zeros_like(self.mu)
-        else:
-            self.penalty = np.asarray(penalty, dtype=float)
-            if self.penalty.shape != self.mu.shape or np.any(self.penalty < 0):
-                raise ValueError("penalty must be a non-negative vector matching mu")
-        self.nodes, self.wq0 = _prior_grid(prior, config)
+        self.penalty = np.zeros_like(self.mu) if penalty is None else np.asarray(penalty, float)
+        self.nodes, self.wq0 = _prior_grid(prior, config or SolverConfig())
         self.F = basis.vandermonde(self.nodes)
-
-    def _expfactor(self, alpha: np.ndarray) -> np.ndarray:
-        a = 1.0 + self.F @ alpha
-        if np.any(-a > _EXP_LIMIT):
-            raise OverflowError(
-                "dual exponent overflow; rescale coefficients or reduce the order"
-            )
-        return np.exp(-a)
 
     def weights(self, alpha: np.ndarray) -> np.ndarray:
         """Quadrature weights of q at alpha: wq0 * exp(-(1 + F alpha))."""
-        return self.wq0 * self._expfactor(alpha)
+        return _reweight(self.wq0, self.F, alpha)
 
-    def _objective(self, alpha: np.ndarray, we: np.ndarray) -> float:
+    def objective(self, alpha: np.ndarray, we: np.ndarray | None = None) -> float:
+        we = self.weights(alpha) if we is None else we
         return float(we.sum() + alpha @ self.mu + 0.5 * self.penalty @ (alpha * alpha))
 
-    def _gradient(self, alpha: np.ndarray, we: np.ndarray) -> np.ndarray:
+    def gradient(self, alpha: np.ndarray, we: np.ndarray | None = None) -> np.ndarray:
+        we = self.weights(alpha) if we is None else we
         return self.mu - self.F.T @ we + self.penalty * alpha
 
-    def _hessian(self, we: np.ndarray) -> np.ndarray:
+    def hessian(self, alpha: np.ndarray, we: np.ndarray | None = None) -> np.ndarray:
+        we = self.weights(alpha) if we is None else we
         return self.F.T @ (self.F * we[:, None]) + np.diag(self.penalty)
-
-    def objective(self, alpha: np.ndarray) -> float:
-        return self._objective(alpha, self.weights(alpha))
-
-    def gradient(self, alpha: np.ndarray) -> np.ndarray:
-        return self._gradient(alpha, self.weights(alpha))
-
-    def hessian(self, alpha: np.ndarray) -> np.ndarray:
-        return self._hessian(self.weights(alpha))
 
 
 def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
@@ -289,13 +276,13 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
                           penalty=_moment_penalty(moments))
     alpha = np.zeros(moments.basis.order + 1)
     we = problem.weights(alpha)
-    S = problem._objective(alpha, we)
+    S = problem.objective(alpha, we)
     for iterations in range(_MAX_ITER + 1):
-        g = problem._gradient(alpha, we)
+        g = problem.gradient(alpha, we)
         gnorm = float(np.abs(g).max())
         if gnorm < config.gtol or iterations == _MAX_ITER:
             break
-        step = _newton_step(problem._hessian(we), g)
+        step = _newton_step(problem.hessian(alpha, we), g)
         slope = g @ step
         t = 1.0
         while True:
@@ -307,7 +294,7 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
                     raise
                 t *= 0.5
                 continue
-            S_trial = problem._objective(trial, we_trial)
+            S_trial = problem.objective(trial, we_trial)
             # below t = 1e-14 the step is taken without the Armijo test
             if t <= 1e-14 or S_trial <= S + 1e-4 * t * slope:
                 break
@@ -315,21 +302,19 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
         alpha, we, S = trial, we_trial, S_trial
     density = SurrogateDensity(prior=prior, basis=moments.basis, alpha=alpha)
     return SolveResult(density=density, iterations=iterations, grad_norm=gnorm,
-                       objective=S, converged=gnorm < config.gtol,
+                       converged=gnorm < config.gtol,
                        log_expectation=_log_expectation(problem.nodes, we))
 
 
 def integrate_log_expectation(q: SurrogateDensity,
                               config: SolverConfig | None = None) -> float:
-    """int q(x) log(x) dx on the solver's grid for `config`, clamped at 0.
+    """int q(x) log(x) dx on the solver's grid for `config`.
 
     The grid is the one `solve` integrates on, so the density is only
     evaluated where its moments were constrained; a fitted exponent
     polynomial is not trustworthy off that grid when coefficients are
-    large (near-point-mass spectra). The weights are formed as
-    `DualProblem.weights` forms them, so for the density and config of a
+    large (near-point-mass spectra). For the density and config of a
     solve this equals its `log_expectation` bit for bit.
     """
     nodes, wq0 = _prior_grid(q.prior, config or SolverConfig())
-    F = q.basis.vandermonde(nodes)
-    return _log_expectation(nodes, wq0 * np.exp(-(1.0 + F @ q.alpha)))
+    return _log_expectation(nodes, _reweight(wq0, q.basis.vandermonde(nodes), q.alpha))

@@ -136,6 +136,10 @@ class SpectralMoments:
             raise ValueError("moment vector length must be order + 1")
         if self.variance is None:
             self.variance = np.zeros_like(self.values)
+        self.variance = np.asarray(self.variance, dtype=float)
+        # the negated form also rejects nan; the variance sets the dual's ridge penalty
+        if self.variance.shape != self.values.shape or not (self.variance >= 0.0).all():
+            raise ValueError("moment variance must be a non-negative vector matching the moments")
 
 
 def probe_rng(seed: int, index: int) -> np.random.Generator:

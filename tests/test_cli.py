@@ -64,7 +64,7 @@ class TestEstimate:
     def test_json_is_strict(self, method, capsys):
         code = main(["estimate", "--identity", "5", "--method", method,
                      "-m", "4", "-d", "3", "--json"])
-        assert code in (0, 5)
+        assert code == 0
         out = strict_json(capsys.readouterr().out)
         assert out["value"] == pytest.approx(0.0, abs=0.05)
         # only maxent has a dual gradient; the oracle has no Gershgorin bound
@@ -72,13 +72,19 @@ class TestEstimate:
         assert (out["lambda_u"] is None) == (method == "exact")
 
     def test_identity_maxent_near_zero(self, capsys):
-        # the point-mass fit cannot hit the tolerance, so non-convergence
-        # (exit 5) is acceptable; the value contract is value ~ 0
+        # a first moment of 1 is a point mass at 1, answered without a solve
         code = main(["estimate", "--identity", "100", "--method", "maxent",
                      "-m", "10", "-d", "10", "--json"])
         out = json.loads(capsys.readouterr().out)
-        assert code in (0, 5)
+        assert code == 0
         assert abs(out["value"]) <= 0.05
+
+    @pytest.mark.parametrize("m", ["1", "2", "3", "10", "30"])
+    def test_identity_maxent_is_zero_at_every_order(self, m, capsys):
+        code = main(["estimate", "--identity", "20", "-m", m, "--json"])
+        assert code == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["value"] == 0.0 and out["converged"]
 
     def test_exact_method_diag(self, tmp_path, capsys):
         code = main(["estimate", "--mtx", write_diag124(tmp_path),
@@ -445,7 +451,7 @@ class TestBench:
         # exact answer is 0, so rel_error degrades to absolute error
         for method in ("taylor", "chebyshev", "lanczos", "exact"):
             assert float(by_method[method]["rel_error"]) <= 1e-6
-        assert float(by_method["maxent"]["rel_error"]) <= 0.05
+        assert float(by_method["maxent"]["rel_error"]) == 0.0
 
     def test_zero_size_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "zero.mtx"
@@ -461,6 +467,13 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 1
         assert payload[0]["method"] == "lanczos"
+
+    def test_json_without_csv_prints_json_alone(self, capsys):
+        code = main(["bench", "--lengthscales", "0.3", "--se-kernel", "n=60",
+                     "-m", "5", "-d", "5", "--methods", "taylor", "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["method"] for r in payload] == ["taylor"]
 
     def test_json_writes_non_finite_as_null(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "condition_number_estimate", lambda op: float("inf"))

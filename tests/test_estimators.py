@@ -100,6 +100,17 @@ class TestMaxent:
         est = logdet_maxent(identity(100), EstimatorConfig(m=10, d=10, seed=0))
         assert abs(est.value) <= 0.05  # exact answer is 0; finite-m fit error only
 
+    @pytest.mark.parametrize("basis", [POWER, CHEBYSHEV, LEGENDRE])
+    def test_identity_is_exactly_zero(self, basis):
+        # f_1 < 1 on [0, 1) in every basis, so a first moment of 1 is a point mass at 1
+        est = logdet_maxent(identity(100), EstimatorConfig(basis=basis))
+        assert est.value == 0.0
+        assert est.converged and est.iterations == 0 and est.grad_norm == 0.0
+
+    def test_scaled_identity_is_exact(self):
+        est = logdet_maxent(DenseOperator(2.5 * np.eye(50)), EstimatorConfig())
+        assert est.value == 50 * np.log(2.5)
+
     def test_diagonal_deterministic_moments(self):
         # exact atomic-spectrum moments sit on the moment-cone boundary, so
         # the gradient tolerance is not reachable; the value band is the contract

@@ -170,6 +170,19 @@ class TestDualGradient:
         assert np.allclose(g - plain, penalty * alpha)
 
 
+class TestDualWeights:
+    @pytest.mark.parametrize("kind, m", [(CHEBYSHEV, 8), (POWER, 4)])
+    def test_given_weights_match_alpha_only_calls(self, kind, m):
+        basis = MomentBasis(kind, m)
+        problem = DualProblem(UniformPrior(), basis, uniform_moments(basis),
+                              penalty=np.linspace(0.0, 1e-3, m + 1))
+        alpha = 0.3 * np.random.default_rng(2).standard_normal(m + 1)
+        we = problem.weights(alpha)
+        assert problem.objective(alpha, we) == problem.objective(alpha)
+        assert np.array_equal(problem.gradient(alpha, we), problem.gradient(alpha))
+        assert np.array_equal(problem.hessian(alpha, we), problem.hessian(alpha))
+
+
 class TestDualHessian:
     def test_scaled_hilbert_at_zero(self):
         basis = MomentBasis(POWER, 3)
@@ -298,6 +311,13 @@ class TestIntegrateLogExpectation:
         q = SurrogateDensity(BetaPrior(2.0, 5.0), MomentBasis(POWER, 2), alpha)
         expected = digamma(2.0) - digamma(7.0)
         assert integrate_log_expectation(q) == pytest.approx(expected, abs=1e-4)
+
+    def test_density_refuses_exponent_overflow(self):
+        # 1 + f(x) alpha = 1 - 1000 x passes -700 for x > 0.701
+        q = SurrogateDensity(UniformPrior(), MomentBasis(POWER, 1), np.array([0.0, -1000.0]))
+        assert q.density(np.array([0.5]))[0] > 0.0
+        with pytest.raises(OverflowError, match="overflow"):
+            q.density(np.array([0.5, 0.8]))
 
     def test_point_mass_fit_near_zero(self):
         basis = MomentBasis(POWER, 10)

@@ -7,7 +7,7 @@ import pytest
 
 from specdet.linop import DenseOperator, identity, normalize
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
-                            estimate_moments, hutchinson_sample_bound,
+                            SpectralMoments, estimate_moments, hutchinson_sample_bound,
                             moments_to_power, probe_matrix, probe_rng,
                             rademacher_probe)
 
@@ -207,6 +207,15 @@ class TestEstimateMoments:
         B = normalize(DenseOperator(np.diag(lam)))
         mom = estimate_moments(B, MomentBasis(POWER, 3), d=200, seed=5)
         assert np.allclose(mom.values, [np.mean(lam**k) for k in range(4)], atol=1e-12)
+
+
+class TestSpectralMoments:
+    @pytest.mark.parametrize("variance", [[0.0, 0.1], [0.0, 0.1, -1e-3, 0.2],
+                                          [0.0, float("nan"), 0.1, 0.2]])
+    def test_bad_variance_refused(self, variance):
+        with pytest.raises(ValueError, match="variance"):
+            SpectralMoments(basis=MomentBasis(POWER, 3), values=np.ones(4), probes=2,
+                            seed=0, variance=np.array(variance))
 
 
 class TestMomentsToPower:
