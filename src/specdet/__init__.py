@@ -17,8 +17,7 @@ from .maxent import (BetaPrior, DegenerateSpectrumError, SolverConfig,
                      SurrogateDensity, UniformPrior, fit_beta_prior,
                      integrate_log_expectation, solve)
 from .probes import (MomentBasis, SpectralMoments, estimate_moments,
-                     hutchinson_sample_bound, moments_to_power, probe_matrix,
-                     rademacher_probe)
+                     moments_to_power, probe_matrix, rademacher_probe)
 from .synth import KernelSpec, se_kernel
 
 __all__ = [
@@ -28,9 +27,8 @@ __all__ = [
     "SolverConfig", "SparseOperator", "SpectralMoments", "SurrogateDensity",
     "UniformPrior", "condition_number_estimate", "estimate_logdet",
     "estimate_moments", "fit_beta_prior", "gershgorin_upper_bound", "identity",
-    "hutchinson_sample_bound", "integrate_log_expectation",
-    "logdet_chebyshev", "logdet_exact", "logdet_lanczos", "logdet_maxent",
-    "logdet_taylor", "moments_to_power", "normalize", "probe_matrix",
-    "rademacher_probe", "read_matrix_market", "se_kernel", "solve",
-    "write_matrix_market",
+    "integrate_log_expectation", "logdet_chebyshev", "logdet_exact",
+    "logdet_lanczos", "logdet_maxent", "logdet_taylor", "moments_to_power",
+    "normalize", "probe_matrix", "rademacher_probe", "read_matrix_market",
+    "se_kernel", "solve", "write_matrix_market",
 ]

@@ -22,6 +22,20 @@ integrated with the quadrature weights it ended on, so the
 log-determinant estimate needs no second grid. One function,
 `_reweight`, forms q0 exp(-[1 + sum alpha_i f_i]) for the dual, the
 density and the integral alike.
+
+The gradient and Hessian come from the 2m + 1 Chebyshev moments of the
+current weights w on the N-node grid, g_k = sum_q w_q T_k(t_q) with
+t = 2x - 1. The product identity T_i T_j = (T_i+j + T_|i-j|) / 2
+(Mason & Handscomb, Chebyshev Polynomials, 2003) makes the Chebyshev
+Gram matrix sum_q w_q T_i T_j a Toeplitz-plus-Hankel function of g, and
+T_m+k = 2 T_m T_k - T_m-k gives g_m+1..g_2m from sum_q w_q T_m T_k, so g
+costs one pass over the N x (m+1) Chebyshev Vandermonde matrix, a product
+of its transpose with w and w T_m. The
+basis's change of basis L (f_i = sum_k L[i, k] T_k, the identity for the
+Chebyshev basis) maps g to the gradient mu - L g[:m+1] + p alpha and the
+Hessian L G L^T + diag(p). A Newton step thus costs O(N m) for the
+weights and moments plus O(m^3) for the Cholesky solve, not the
+O(N m^2) of forming F^T diag(w) F directly.
 """
 
 from __future__ import annotations
@@ -30,10 +44,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import betaln
 
-from .probes import MomentBasis, SpectralMoments
+from .probes import CHEBYSHEV, MomentBasis, SpectralMoments
 
 _EXP_LIMIT = 700.0  # exp overflow guard for float64
 _MAX_ITER = 500  # Newton iterations before the solve stops unconverged
@@ -42,6 +56,9 @@ _NODES_PER_PANEL = 16
 _RIDGE = 1.0  # multiplier on the per-moment squared-standard-error penalty
 _JITTER = 1e-8  # Newton-step jitter tried first
 _MAX_JITTER = 1e-2  # Newton-step jitter past which the solve gives up
+# a rise of the dual objective below this times sum(w) + |alpha . mu| + 1,
+# the scale of its terms, is round-off
+_ROUNDOFF = 16.0 * np.finfo(float).eps
 _CEIL_GAP = 1e-10  # distance of the last quadrature panel edge from 1
 # the smallest and default quadrature floor, which keeps log integrable; the
 # uniform prior's support starts here too, so it covers every grid
@@ -201,7 +218,9 @@ class DualProblem:
     large if the moment it matches is known accurately.
 
     Each of `objective`, `gradient` and `hessian` takes the weights
-    `weights(alpha)` as `we` when the caller already holds them.
+    `weights(alpha)` as `we` when the caller already holds them. The
+    gradient and Hessian are read off `gram_moments(we)`; see the module
+    docstring.
     """
 
     def __init__(self, prior: PriorSpec, basis: MomentBasis, moments: np.ndarray,
@@ -211,10 +230,26 @@ class DualProblem:
         self.penalty = np.zeros_like(self.mu) if penalty is None else np.asarray(penalty, float)
         self.nodes, self.wq0 = _prior_grid(prior, config or SolverConfig())
         self.F = basis.vandermonde(self.nodes)
+        if basis.kind == CHEBYSHEV:  # L is exactly the identity: skip its products
+            self.T, self.L = self.F, None
+        else:
+            self.T = MomentBasis(CHEBYSHEV, basis.order).vandermonde(self.nodes)
+            self.L = basis.chebyshev_matrix()
+        i = np.arange(basis.order + 1)
+        self._i_plus_j, self._i_minus_j = np.add.outer(i, i), np.abs(np.subtract.outer(i, i))
 
     def weights(self, alpha: np.ndarray) -> np.ndarray:
         """Quadrature weights of q at alpha: wq0 * exp(-(1 + F alpha))."""
         return _reweight(self.wq0, self.F, alpha)
+
+    def gram_moments(self, we: np.ndarray) -> np.ndarray:
+        """g_k = sum_q we_q T_k(t_q) for k = 0..2m, from one product with T^T.
+
+        g_m+k = 2 sum_q we_q T_m T_k - g_m-k for k = 1..m.
+        """
+        m = len(self.mu) - 1
+        lower, tm = (self.T.T @ np.column_stack((we, we * self.T[:, m]))).T
+        return np.concatenate((lower, 2.0 * tm[1:] - lower[:m][::-1]))
 
     def objective(self, alpha: np.ndarray, we: np.ndarray | None = None) -> float:
         we = self.weights(alpha) if we is None else we
@@ -222,11 +257,25 @@ class DualProblem:
 
     def gradient(self, alpha: np.ndarray, we: np.ndarray | None = None) -> np.ndarray:
         we = self.weights(alpha) if we is None else we
-        return self.mu - self.F.T @ we + self.penalty * alpha
+        return self._gradient(alpha, self.gram_moments(we))
 
     def hessian(self, alpha: np.ndarray, we: np.ndarray | None = None) -> np.ndarray:
         we = self.weights(alpha) if we is None else we
-        return self.F.T @ (self.F * we[:, None]) + np.diag(self.penalty)
+        return self._hessian(self.gram_moments(we))
+
+    def _gradient(self, alpha: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """mu - L g[:m+1] + p alpha."""
+        fitted = g[:len(self.mu)] if self.L is None else self.L @ g[:len(self.mu)]
+        return self.mu - fitted + self.penalty * alpha
+
+    def _hessian(self, g: np.ndarray) -> np.ndarray:
+        """L G L^T + diag(p) with G[i, j] = (g_i+j + g_|i-j|) / 2, exactly symmetric."""
+        H = 0.5 * (g[self._i_plus_j] + g[self._i_minus_j])
+        if self.L is not None:
+            H = self.L @ H @ self.L.T
+            H = 0.5 * (H + H.T)  # a + b == b + a in floating point
+        H.reshape(-1)[::len(H) + 1] += self.penalty  # the diagonal, as a view
+        return H
 
 
 def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
@@ -239,19 +288,20 @@ def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
 def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve (H + eta I) s = -g by Cholesky, escalating eta tenfold on failure.
 
-    eta starts at _JITTER. A failed factorization, or a zero or
-    non-finite step, raises it; past _MAX_JITTER the solve gives up.
+    eta starts at _JITTER and is added to the diagonal of a copy of H. A
+    failed factorization, or a zero or non-finite step, raises it; past
+    _MAX_JITTER the solve gives up. LAPACK is called directly: the scipy.linalg
+    wrappers cost more than the factorization at these sizes.
     """
-    eye = np.eye(len(g))
     eta = _JITTER
     while True:
-        try:
-            factor = scipy.linalg.cho_factor(H + eta * eye, check_finite=False)
-            step = scipy.linalg.cho_solve(factor, -g, check_finite=False)
-            if np.isfinite(step).all() and np.any(step != 0.0):
+        A = H.copy()
+        A.reshape(-1)[::len(A) + 1] += eta  # the diagonal, as a view
+        factor, info = dpotrf(A, clean=0)
+        if info == 0:  # info > 0: a leading minor is not positive definite
+            step, _ = dpotrs(factor, -g)
+            if np.isfinite(step).all() and step.any():
                 return step
-        except np.linalg.LinAlgError:
-            pass
         eta *= 10.0
         if eta > _MAX_JITTER:
             raise RuntimeError(
@@ -267,7 +317,12 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     jitter, escalated tenfold from _JITTER up to _MAX_JITTER
     while the factorization fails or the step is zero or non-finite. Steps
     are damped by Armijo backtracking; the exponential weights of the
-    accepted trial point give the next objective, gradient and Hessian.
+    accepted trial point give the next objective, and their Gram moments
+    the next gradient and Hessian. The full step is also taken when it
+    raises the objective by no more than _ROUNDOFF times the scale of its
+    terms: near the optimum the decrease the Armijo test asks for is
+    smaller than the objective's own round-off, which no step can certify,
+    and halving would stall the solve there.
     """
     config = config or SolverConfig()
     if abs(moments.values[0] - 1.0) > 1e-8:
@@ -278,12 +333,14 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     we = problem.weights(alpha)
     S = problem.objective(alpha, we)
     for iterations in range(_MAX_ITER + 1):
-        g = problem.gradient(alpha, we)
+        gram = problem.gram_moments(we)
+        g = problem._gradient(alpha, gram)
         gnorm = float(np.abs(g).max())
         if gnorm < config.gtol or iterations == _MAX_ITER:
             break
-        step = _newton_step(problem.hessian(alpha, we), g)
+        step = _newton_step(problem._hessian(gram), g)
         slope = g @ step
+        noise = _ROUNDOFF * (we.sum() + abs(alpha @ problem.mu) + 1.0)
         t = 1.0
         while True:
             trial = alpha + t * step
@@ -296,7 +353,8 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
                 continue
             S_trial = problem.objective(trial, we_trial)
             # below t = 1e-14 the step is taken without the Armijo test
-            if t <= 1e-14 or S_trial <= S + 1e-4 * t * slope:
+            if (t <= 1e-14 or S_trial <= S + 1e-4 * t * slope
+                    or (t == 1.0 and S_trial - S <= noise)):
                 break
             t *= 0.5
         alpha, we, S = trial, we_trial, S_trial

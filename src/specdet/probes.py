@@ -29,7 +29,6 @@ the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,11 +252,3 @@ def moments_to_power(moments: SpectralMoments) -> SpectralMoments:
         variance=moments.variance.copy(),
     )
 
-
-def hutchinson_sample_bound(epsilon: float, eta: float) -> int:
-    """Probe count guaranteeing fractional trace error epsilon w.p. 1 - eta."""
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError("epsilon must lie in (0, 1]")
-    if not (0.0 < eta < 1.0):
-        raise ValueError("eta must lie in (0, 1)")
-    return math.ceil(6.0 * epsilon**-2 * math.log(2.0 / eta))

@@ -1,15 +1,12 @@
 """Rademacher probes, moment recurrences, and basis conversions."""
 
-import math
-
 import numpy as np
 import pytest
 
 from specdet.linop import DenseOperator, identity, normalize
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
-                            SpectralMoments, estimate_moments, hutchinson_sample_bound,
-                            moments_to_power, probe_matrix, probe_rng,
-                            rademacher_probe)
+                            SpectralMoments, estimate_moments, moments_to_power,
+                            probe_matrix, probe_rng, rademacher_probe)
 
 
 def column_vandermonde(basis, lam):
@@ -243,21 +240,3 @@ class TestMomentsToPower:
         mom = estimate_moments(B, MomentBasis(POWER, 3), d=2, seed=0)
         assert np.allclose(moments_to_power(mom).values, mom.values)
 
-
-class TestSampleBound:
-    def test_percent_level_bound(self):
-        # ceil(6 * 0.01^-2 * ln(2/0.1)) = ceil(179743.975...) = 179744
-        assert hutchinson_sample_bound(0.01, 0.1) == 179744
-
-    def test_unit_scale(self):
-        eta = 2.0 / math.e  # makes log(2/eta) exactly 1
-        assert hutchinson_sample_bound(1.0, eta) == 6
-
-    def test_direct_evaluation(self):
-        assert hutchinson_sample_bound(0.1, 0.1) == math.ceil(600.0 * math.log(20.0))
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            hutchinson_sample_bound(0.0, 0.1)
-        with pytest.raises(ValueError):
-            hutchinson_sample_bound(0.1, 1.0)
