@@ -24,6 +24,15 @@ so m moments cost ceil(m/2) block products (the doubling trick of the
 kernel polynomial method; Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
 Phys. 78, 2006). Power and Legendre moments are an exact linear map of
 the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
+
+For B = K / lambda_u each step multiplies by K itself and then makes three
+passes over the n x d block: a division by lambda_u / 4 (lambda_u / 2 at
+the first step), one in-place BLAS daxpy adding -2 T_k Z, and a
+subtraction of T_k-1 Z. Scaling by 2 or 4 commutes with rounding, so this
+equals dividing by lambda_u and then doubling and subtracting twice, as
+the recurrence reads, bit for bit. It is a division, not a product with a
+reciprocal: fl(4 / c) c != 4 for c = 49, 98, 103, ..., and a scaled
+identity c I must give moments of exactly 1.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy
 
 from .linop import NotPositiveDefiniteError
 
@@ -141,29 +151,59 @@ class SpectralMoments:
             raise ValueError("moment variance must be a non-negative vector matching the moments")
 
 
+def _probe_bits(seed: int, index: int) -> np.random.PCG64:
+    """Bit generator of probe `index` of stream `seed`, schedule-independent."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 def probe_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for probe `index` of stream `seed`, schedule-independent."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(_probe_bits(seed, index))
+
+
+def _rademacher_block(n: int, bit_generators) -> np.ndarray:
+    """The (n, d) +-1 block of one probe per bit generator, drawn as `probe_matrix` says."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    words = np.empty((len(bit_generators), -(-n // 2)), dtype=np.uint64)
+    for row, bits in zip(words, bit_generators):
+        row[:] = bits.random_raw(words.shape[1])
+    # the 32-bit halves, low first, as signed integers: an arithmetic shift
+    # leaves -1 where the top bit is set and 0 elsewhere, and the whole block
+    # is mapped to +-1 in place, without block-sized temporaries
+    signs = words.astype("<u8", copy=False).view("<i4")[:, :n]
+    signs >>= 31
+    signs *= -2
+    signs -= 1
+    return np.ascontiguousarray(signs.T, dtype=float)
 
 
 def rademacher_probe(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vector of i.i.d. +-1 entries; z.z == n exactly for every draw."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2.0 * rng.integers(0, 2, size=n).astype(float) - 1.0
+    """Vector of i.i.d. +-1 entries; z.z == n exactly for every draw.
+
+    Drawn from ceil(n/2) raw words of `rng`'s bit generator as in
+    `probe_matrix`. With odd n the high half of the last word is
+    discarded, so a generator reused for another draw goes on with its
+    next whole word.
+    """
+    return _rademacher_block(n, [rng.bit_generator]).ravel()
 
 
 def probe_matrix(n: int, d: int, seed: int) -> np.ndarray:
     """The d Rademacher probes of stream `seed`, as columns; shape (n, d).
 
+    Probe j reads ceil(n/2) raw 64-bit words of
+    `PCG64(SeedSequence(seed, spawn_key=(j,)))`, and its entry i is +1
+    where the top bit of 32-bit half i (low half first) is set, -1
+    elsewhere. That equals `Generator.integers(0, 2, size=n)` on the same
+    bit generator bit for bit (numpy 2.4), but raw PCG64 output is stable
+    across numpy versions, while `Generator.integers` streams are not
+    promised to be.
+
     Methods that share a seed share these exact probes, so cross-method
     comparisons are paired.
     """
-    Z = np.empty((n, d))
-    for j in range(d):
-        Z[:, j] = rademacher_probe(n, probe_rng(seed, j))
-    return Z
+    return _rademacher_block(n, [_probe_bits(seed, j) for j in range(d)])
 
 
 def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -171,26 +211,36 @@ def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", X, Y)
 
 
-def _moment_samples(op, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
+def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
     """Per-probe quadratic forms z_j.f_i(B)z_j / n; shape (d, m+1).
 
-    Makes ceil(m/2) calls to op.matmat; see the module docstring.
+    Makes ceil(m/2) calls to B.inner.matmat; see the module docstring.
     """
     n, d = Z.shape
     m = basis.order
+    lam = B.lambda_u
+    # dividing by lam / c equals c times the quotient by lam only while lam / c
+    # is exact; below lam = 2^-1020 lam / 4 is subnormal and may round, so
+    # there the scaling follows the division
+    exact_quarter = lam / 4.0 >= np.finfo(float).tiny
     samples = np.empty((d, m + 1))
     samples[:, 0] = _col_dot(Z, Z) / n
     prev, cur = None, Z
     for k in range(1, (m + 1) // 2 + 1):
-        # recurrence in t = 2B - I applied to the probe block, updating the
-        # new array each product returns in place
-        nxt = op.matmat(cur)
-        nxt *= 2.0
-        nxt -= cur
+        # t = 2B - I: T_1 Z = 2BZ - Z and T_k+1 Z = 4B T_k Z - 2T_k Z - T_k-1 Z,
+        # three passes in place on the product, whose flat view daxpy updates
+        c = 2.0 if k == 1 else 4.0
+        nxt = np.require(B.inner.matmat(cur), float, "CAW")
+        if exact_quarter:
+            nxt /= lam / c
+        else:
+            nxt /= lam
+            nxt *= c
         if k == 1:
+            nxt -= cur
             samples[:, 1] = _col_dot(Z, nxt) / n
         else:
-            nxt *= 2.0
+            daxpy(cur.reshape(-1), nxt.reshape(-1), a=-2.0)
             nxt -= prev
             samples[:, 2 * k - 1] = 2.0 * _col_dot(cur, nxt) / n - samples[:, 1]
         if 2 * k <= m:
@@ -213,11 +263,12 @@ def _moment_samples(op, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
 def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMoments:
     """Monte Carlo moment estimates over d probes, deterministic in seed.
 
-    `op` is typically a NormalizedOperator; any symmetric operator with .n
-    and a .matmat that returns a new array works (the doubling identities
-    need symmetry, and the recurrence overwrites each product). Probes are
-    reduced in index order, so results are bit-identical for identical
-    arguments.
+    `op` is the NormalizedOperator B = K / lambda_u that `normalize`
+    returns. The pass multiplies by K through `op.inner.matmat` and folds
+    the division by lambda_u into the recurrence; K must be symmetric (the
+    doubling identities need it), and its matmat must return a new array,
+    which the recurrence overwrites. Probes are reduced in index order, so
+    results are bit-identical for identical arguments.
 
     The spectrum of `op` must lie in [-1, 1], as that of K / lambda_u does
     for a Gershgorin bound lambda_u. A Chebyshev sample z.T_k(2B - I)z / n

@@ -75,6 +75,23 @@ class TestRademacher:
         Z3 = probe_matrix(50, 3, seed=9)
         assert np.array_equal(Z5[:, :3], Z3)
 
+    def test_golden_probes(self):
+        # the probe definition, pinned: top bits of the 32-bit halves of raw
+        # PCG64 words, low half first, +1 where the bit is set
+        assert probe_matrix(5, 3, seed=0).tolist() == [
+            [1, 1, 1], [1, 1, 1], [-1, -1, -1], [-1, -1, -1], [1, -1, 1]]
+        assert probe_matrix(9, 2, seed=7).tolist() == [
+            [-1, 1], [1, -1], [-1, -1], [-1, -1], [1, -1], [1, -1], [1, -1], [1, -1], [1, -1]]
+        assert rademacher_probe(7, probe_rng(4, 1)).tolist() == [1, 1, 1, 1, -1, -1, -1]
+
+    def test_odd_length_draw_discards_the_last_half_word(self):
+        # a reused generator starts each draw on a whole word
+        rng = probe_rng(4, 1)
+        rademacher_probe(7, rng)
+        words = probe_rng(4, 1).bit_generator.random_raw(8)
+        expect = np.where(words[4:].astype("<u8").view("<u4")[:7] >> 31, 1.0, -1.0)
+        assert np.array_equal(rademacher_probe(7, rng), expect)
+
 
 class TestMomentBasis:
     def test_vandermonde_matches_numpy_chebyshev(self):
@@ -154,6 +171,40 @@ class TestEstimateMoments:
         mom = estimate_moments(B, MomentBasis(kind, 5), d=4, seed=0)
         assert np.array_equal(mom.values, np.ones(6))
         assert np.array_equal(mom.variance, np.zeros(6))
+
+    @pytest.mark.parametrize("c", [1.0, 2.5, 49.0, np.nextafter(2.0**-1021, 1.0), 1e308])
+    @pytest.mark.parametrize("kind", [POWER, CHEBYSHEV, LEGENDRE])
+    def test_scaled_identity_all_ones(self, c, kind):
+        # the pass divides by lambda_u / 4: a product with fl(4 / c) misses 4
+        # at c = 49, and below lambda_u = 2^-1020 lambda_u / 4 is inexact
+        B = normalize(DenseOperator(c * np.eye(50), symmetric=True))
+        mom = estimate_moments(B, MomentBasis(kind, 7), d=4, seed=0)
+        assert np.array_equal(mom.values, np.ones(8))
+        assert np.array_equal(mom.variance, np.zeros(8))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_product_layout_does_not_change_moments(self, layout):
+        # the recurrence updates each product in place through a flat view,
+        # which a Fortran-ordered or strided product would not have
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((40, 40))
+        K = A @ A.T + np.eye(40)
+
+        class Relaid(DenseOperator):
+            def matmat(self, X):
+                Y = super().matmat(X)
+                if layout == "fortran":
+                    return np.asfortranarray(Y)
+                wide = np.zeros((Y.shape[0], 2 * Y.shape[1]))
+                wide[:, ::2] = Y
+                return wide[:, ::2]
+
+        for kind in (POWER, CHEBYSHEV, LEGENDRE):
+            basis = MomentBasis(kind, 9)
+            plain = estimate_moments(normalize(DenseOperator(K)), basis, d=5, seed=2)
+            relaid = estimate_moments(normalize(Relaid(K)), basis, d=5, seed=2)
+            assert np.array_equal(relaid.values, plain.values)
+            assert np.array_equal(relaid.variance, plain.variance)
 
     def test_diagonal_power_moments_exact(self):
         # z_i^2 = 1 makes probe quadratic forms exact on diagonal matrices:
