@@ -208,7 +208,7 @@ def cmd_moments(args) -> int:
         writer = csv.writer(sys.stdout)
         writer.writerow(["i", "value", "variance"])
         for i, (v, s) in enumerate(zip(moments.values, moments.variance)):
-            writer.writerow([i, repr(v), repr(s)])
+            writer.writerow([i, repr(float(v)), repr(float(s))])
     return EXIT_OK
 
 

@@ -279,9 +279,7 @@ class DualProblem:
 
 
 def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
-    """Squared standard error of each moment estimate, times _RIDGE."""
-    if moments.probes < 2:
-        return np.zeros_like(moments.values)
+    """Squared standard error of each moment estimate, times _RIDGE; zero for one probe."""
     return _RIDGE * moments.variance / moments.probes
 
 

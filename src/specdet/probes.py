@@ -131,24 +131,39 @@ def _change_of_basis(kind: str, m: int, target: str) -> np.ndarray:
 
 @dataclass
 class SpectralMoments:
-    """Estimated moments mu_0..mu_m with probe metadata."""
+    """Per-probe moment samples and the Monte Carlo estimates they give.
+
+    Row j of `samples` holds probe j's quadratic forms z_j.f_i(B)z_j / n,
+    i = 0..m, so every statistic of the moments is derived from it: the
+    estimates `values` are the column means, `variance` the per-moment
+    sample variance (zero for a single row, as for exact moments built by
+    hand) and `probes` the row count.
+    """
 
     basis: MomentBasis
-    values: np.ndarray
-    probes: int
-    seed: int
-    variance: np.ndarray = field(default=None)
+    samples: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.basis.order + 1,):
-            raise ValueError("moment vector length must be order + 1")
-        if self.variance is None:
-            self.variance = np.zeros_like(self.values)
-        self.variance = np.asarray(self.variance, dtype=float)
-        # the negated form also rejects nan; the variance sets the dual's ridge penalty
-        if self.variance.shape != self.values.shape or not (self.variance >= 0.0).all():
-            raise ValueError("moment variance must be a non-negative vector matching the moments")
+        self.samples = np.asarray(self.samples, dtype=float)
+        # shape[1:] rules out every other rank before len() reads the rows
+        if self.samples.shape[1:] != (self.basis.order + 1,) or len(self.samples) < 1:
+            raise ValueError("moment samples must be a (probes, order + 1) array "
+                             "with at least one row")
+        self.values = self.samples.mean(axis=0)
+        if not np.isfinite(self.values).all():
+            raise ValueError("non-finite moment estimate; operator may not be normalized")
+
+    @property
+    def probes(self) -> int:
+        return len(self.samples)
+
+    @functools.cached_property
+    def variance(self) -> np.ndarray:
+        """Sample variance of each moment over the probes; zeros for one probe."""
+        if self.probes < 2:
+            return np.zeros(self.basis.order + 1)
+        return self.samples.var(axis=0, ddof=1)
 
 
 def _probe_bits(seed: int, index: int) -> np.random.PCG64:
@@ -267,8 +282,9 @@ def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMomen
     returns. The pass multiplies by K through `op.inner.matmat` and folds
     the division by lambda_u into the recurrence; K must be symmetric (the
     doubling identities need it), and its matmat must return a new array,
-    which the recurrence overwrites. Probes are reduced in index order, so
-    results are bit-identical for identical arguments.
+    which the recurrence overwrites. The result keeps every probe's
+    samples; probes are reduced in index order, so results are
+    bit-identical for identical arguments.
 
     The spectrum of `op` must lie in [-1, 1], as that of K / lambda_u does
     for a Gershgorin bound lambda_u. A Chebyshev sample z.T_k(2B - I)z / n
@@ -279,27 +295,19 @@ def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMomen
     """
     if d < 1:
         raise ValueError("probe count d must be >= 1")
-    Z = probe_matrix(op.n, d, seed)
-    samples = _moment_samples(op, basis, Z)
-    values = samples.mean(axis=0)
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite moment estimate; operator may not be normalized")
-    variance = samples.var(axis=0, ddof=1) if d > 1 else np.zeros(basis.order + 1)
-    return SpectralMoments(basis=basis, values=values, probes=d, seed=seed, variance=variance)
+    return SpectralMoments(basis, _moment_samples(op, basis, probe_matrix(op.n, d, seed)))
 
 
 def moments_to_power(moments: SpectralMoments) -> SpectralMoments:
-    """Re-express moments in the power basis via the exact change of basis."""
+    """The same probes' samples in the power basis, by the exact change of basis.
+
+    Every row is mapped, so the values are the means of the power rows
+    and the variances are those of the power samples: for Chebyshev
+    moments Var p_1 = Var mu_1 / 4.
+    """
     C = moments.basis.to_power_matrix()
     # mu_i = sum_k C[i,k] p_k with C lower triangular: forward substitution
     # gives p_k from mu_0..mu_k alone, so the low moments stay exact however
     # large the entries of the high rows grow (~6e17 at m = 30)
-    p = scipy.linalg.solve_triangular(C, moments.values, lower=True)
-    return SpectralMoments(
-        basis=MomentBasis(POWER, moments.basis.order),
-        values=p,
-        probes=moments.probes,
-        seed=moments.seed,
-        variance=moments.variance.copy(),
-    )
-
+    p = scipy.linalg.solve_triangular(C, moments.samples.T, lower=True).T
+    return SpectralMoments(MomentBasis(POWER, moments.basis.order), p)

@@ -107,8 +107,7 @@ def test_criterion_4_density_recovery():
     mu = np.ones(11)
     for k in range(1, 11):
         mu[k] = mu[k - 1] * (2.0 + k - 1.0) / (7.0 + k - 1.0)
-    moments = SpectralMoments(basis=MomentBasis(POWER, 10), values=mu,
-                              probes=1, seed=0)
+    moments = SpectralMoments(MomentBasis(POWER, 10), mu[None])
     result = solve(moments, UniformPrior(), SolverConfig())
     got = integrate_log_expectation(result.density)
     expected = digamma(2.0) - digamma(7.0)
@@ -120,7 +119,7 @@ def test_criterion_5_prior_recovery():
     basis = MomentBasis(CHEBYSHEV, 10)
     C = basis.to_power_matrix()
     mu = C @ (1.0 / (np.arange(11) + 1.0))  # exact uniform moments
-    moments = SpectralMoments(basis=basis, values=mu, probes=1, seed=0)
+    moments = SpectralMoments(basis, mu[None])
     result = solve(moments, UniformPrior(), SolverConfig(gtol=1e-10))
     worst = float(np.abs(result.density.alpha[1:]).max())
     verdict(5, worst <= 1e-6, f"max |alpha_i|, i>=1: {worst:.2e} (<= 1e-6)")

@@ -222,11 +222,16 @@ class TestMoments:
         assert out["values"] == pytest.approx([1.0, 7.0 / 12.0, 21.0 / 48.0])
 
     def test_csv_output(self, capsys):
-        code = main(["moments", "--identity", "3", "-m", "2", "-d", "2"])
-        assert code == 0
+        # every field is a plain float literal, bit for bit the --json numbers
+        args = ["moments", "--se-kernel", "n=40", "-m", "3", "-d", "3"]
+        assert main(args) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert main([*args, "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
         assert rows[0] == ["i", "value", "variance"]
-        assert len(rows) == 4
+        assert [int(r[0]) for r in rows[1:]] == [0, 1, 2, 3]
+        assert [float(r[1]) for r in rows[1:]] == out["values"]
+        assert [float(r[2]) for r in rows[1:]] == out["variance"]
 
     def test_zero_matrix_is_numerical_error(self, tmp_path, capsys):
         # no positive Gershgorin bound to normalize by, as for `estimate`

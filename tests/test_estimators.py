@@ -158,8 +158,7 @@ class TestMaxent:
                                cfg.d, cfg.seed)
         signs = np.where(np.arange(cfg.m + 1) % 2, 1.0, -1.0)
         signs[0] = 0.0
-        bumped = SpectralMoments(basis=mom.basis, values=mom.values * (1.0 + 4e-16 * signs),
-                                 probes=mom.probes, seed=mom.seed, variance=mom.variance)
+        bumped = SpectralMoments(mom.basis, mom.samples * (1.0 + 4e-16 * signs))
         assert not np.array_equal(bumped.values, mom.values)
 
         def log_expectation(moments):

@@ -30,7 +30,7 @@ def uniform_moments(basis):
 
 
 def exact_moments(basis, values):
-    return SpectralMoments(basis=basis, values=values, probes=1, seed=0)
+    return SpectralMoments(basis, values[None])
 
 
 class TestPriors:
@@ -158,10 +158,13 @@ class TestDualGradient:
         assert np.abs(fitted - mom.values).max() <= 10.0 * config.gtol
 
     def test_ridge_term_enters_gradient(self):
-        # nonzero moment variance adds penalty * alpha to the gradient
+        # nonzero moment variance adds penalty * alpha to the gradient; ten
+        # rows at mean +- sqrt(0.9 v) have sample variance v
         basis = MomentBasis(POWER, 2)
-        mom = SpectralMoments(basis=basis, values=uniform_moments(basis),
-                              probes=10, seed=0, variance=np.array([0.0, 0.1, 0.4]))
+        signs = np.where(np.arange(10) % 2, 1.0, -1.0)[:, None]
+        spread = np.sqrt(0.9 * np.array([0.0, 0.1, 0.4]))
+        mom = SpectralMoments(basis, uniform_moments(basis) + signs * spread)
+        assert np.allclose(mom.variance, [0.0, 0.1, 0.4])
         alpha = np.array([0.2, -0.3, 0.5])
         plain = DualProblem(UniformPrior(), basis, mom.values).gradient(alpha)
         g = DualProblem(UniformPrior(), basis, mom.values,

@@ -76,3 +76,16 @@ def test_maxent_replay_is_bit_identical(case, monkeypatch):
     value, _, result = spans.maxent_replay(traced, cfg, tracer)
     assert result.converged or case == "diag-no-hint"
     assert value == logdet_maxent(traced, cfg).value
+
+
+def test_layer_metrics_read_the_replayed_moments(monkeypatch):
+    # the moment standard error perfbench reports reads the moments' variance
+    # and probe count, which no other test reaches through perfbench
+    spans = load_perfbench("spans", monkeypatch)
+    op = se_kernel(KernelSpec(n=128, dim=6, lengthscale=0.65, noise=1e-8, seed=2))
+    tracer = spans.Tracer()
+    _, moments, result = spans.maxent_replay(spans.TracedOperator(op, tracer),
+                                             EstimatorConfig(m=10, d=8, seed=1), tracer)
+    metrics = spans.layer_metrics(tracer, [(moments, result)], 0.0, [], 0.0, 0.0)
+    se = metrics["probes.moment_se_max"]["value"]
+    assert np.isfinite(se) and se > 0.0

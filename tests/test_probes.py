@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from specdet.linop import DenseOperator, identity, normalize
+from specdet.maxent import _moment_penalty
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             SpectralMoments, estimate_moments, moments_to_power,
                             probe_matrix, probe_rng, rademacher_probe)
+from specdet.synth import KernelSpec, se_kernel
 
 
 def column_vandermonde(basis, lam):
@@ -258,12 +260,27 @@ class TestEstimateMoments:
 
 
 class TestSpectralMoments:
-    @pytest.mark.parametrize("variance", [[0.0, 0.1], [0.0, 0.1, -1e-3, 0.2],
-                                          [0.0, float("nan"), 0.1, 0.2]])
-    def test_bad_variance_refused(self, variance):
-        with pytest.raises(ValueError, match="variance"):
-            SpectralMoments(basis=MomentBasis(POWER, 3), values=np.ones(4), probes=2,
-                            seed=0, variance=np.array(variance))
+    @pytest.mark.parametrize("shape", [(0, 4), (4,), (2, 3), (2, 5), (2, 4, 1)],
+                             ids=["no-rows", "1-d", "narrow", "wide", "3-d"])
+    def test_bad_shape_refused(self, shape):
+        with pytest.raises(ValueError, match="moment samples must be"):
+            SpectralMoments(MomentBasis(POWER, 3), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused(self, bad):
+        samples = np.ones((3, 4))
+        samples[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite moment estimate"):
+            SpectralMoments(MomentBasis(POWER, 3), samples)
+
+    def test_single_row_has_zero_variance_and_penalty(self):
+        # exact moments are one row: no spread, so the dual gets no ridge
+        row = np.array([1.0, 0.2, -0.3, 0.1])
+        mom = SpectralMoments(MomentBasis(CHEBYSHEV, 3), row[None])
+        assert mom.probes == 1
+        assert np.array_equal(mom.values, row)
+        assert np.array_equal(mom.variance, np.zeros(4))
+        assert np.array_equal(_moment_penalty(mom), np.zeros(4))
 
 
 class TestMomentsToPower:
@@ -285,6 +302,24 @@ class TestMomentsToPower:
         p = moments_to_power(mom).values
         assert p[1] == pytest.approx(np.mean(lam), rel=1e-12)
         assert p[2] == pytest.approx(np.mean(lam**2), rel=1e-12)
+
+    def test_power_variances_are_those_of_the_mapped_samples(self):
+        # p_1 = (mu_1 + 1) / 2 probe by probe, so Var p_1 = Var mu_1 / 4
+        op = se_kernel(KernelSpec(n=256, seed=1))
+        mom = estimate_moments(normalize(op), MomentBasis(CHEBYSHEV, 30), d=30, seed=0)
+        p = moments_to_power(mom)
+        assert p.probes == 30
+        assert p.variance[1] == pytest.approx(mom.variance[1] / 4.0, rel=1e-14)
+        C = mom.basis.to_power_matrix()
+        residual = np.abs(C @ p.samples.T - mom.samples.T)
+        assert (residual <= 31 * np.finfo(float).eps * (np.abs(C) @ np.abs(p.samples.T))).all()
+
+    @pytest.mark.parametrize("kind, m", [(CHEBYSHEV, 5), (LEGENDRE, 5), (POWER, 30)])
+    def test_identity_power_samples_exactly_one(self, kind, m):
+        # at low order the forward substitution is exact on a spectrum at 1;
+        # the power basis maps through the identity matrix at any order
+        mom = estimate_moments(normalize(identity(7)), MomentBasis(kind, m), d=4, seed=0)
+        assert np.array_equal(moments_to_power(mom).samples, np.ones((4, m + 1)))
 
     def test_power_basis_is_identity(self):
         B = normalize(identity(4))
