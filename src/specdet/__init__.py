@@ -17,7 +17,7 @@ from .maxent import (BetaPrior, DegenerateSpectrumError, SolverConfig,
                      SurrogateDensity, UniformPrior, fit_beta_prior,
                      integrate_log_expectation, solve)
 from .probes import (MomentBasis, SpectralMoments, estimate_moments,
-                     moments_to_power, probe_matrix, rademacher_probe)
+                     moments_to_power, probe_matrix)
 from .synth import KernelSpec, se_kernel
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "estimate_moments", "fit_beta_prior", "gershgorin_upper_bound", "identity",
     "integrate_log_expectation", "logdet_chebyshev", "logdet_exact",
     "logdet_lanczos", "logdet_maxent", "logdet_taylor", "moments_to_power",
-    "normalize", "probe_matrix", "rademacher_probe", "read_matrix_market",
-    "se_kernel", "solve", "write_matrix_market",
+    "normalize", "probe_matrix", "read_matrix_market", "se_kernel", "solve",
+    "write_matrix_market",
 ]

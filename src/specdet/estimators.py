@@ -224,9 +224,13 @@ _ROUNDING = 0.5 * np.finfo(float).eps
 def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.ndarray:
     """z'log(B)z / z'z for each column z of Z by m-step Lanczos quadrature.
 
-    All columns run the three-term recurrence together, one `matmat` per
-    step. Simon's recurrence tracks each column's loss of orthogonality from
-    its alphas and betas alone. A column is reorthogonalized against its own
+    All columns run the three-term recurrence together, one product with
+    K = `B.inner` per step, which is then divided by lambda_u. The division
+    stays on every product rather than being folded into the Jacobi matrix
+    at the end: the norms of unscaled Lanczos vectors of K square its
+    scale, and overflow or underflow when K's entries are near 1e160 or
+    1e-160. Simon's recurrence tracks each column's loss of orthogonality
+    from its alphas and betas alone. A column is reorthogonalized against its own
     basis, in one pass, when an estimate passes sqrt(eps), again on the step
     after (Simon's pair rule), and whenever its beta is below sqrt(eps). A
     column whose beta then falls below 1e-12 has reached an invariant
@@ -251,7 +255,8 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         q = Q[:, j]
         # q.T is not C-contiguous, so a dense product comes back column-major
         # and its transpose is already the rows W needs: no copy is made
-        W = np.ascontiguousarray(B.matmat(q.T).T)
+        W = np.ascontiguousarray(B.inner.matmat(q.T).T)
+        W /= B.lambda_u
         alphas[:, j] = np.matmul(W[:, None, :], q[:, :, None])[:, 0, 0]
         if j == m - 1:
             break

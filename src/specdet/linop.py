@@ -148,6 +148,11 @@ class SparseOperator(LinearOperator):
     products stay as scipy computes them, row-major: on the n=22,500 grid
     Laplacian with 10 columns they take 0.55 ms on row-major blocks
     against 2.2-2.4 ms on column-major or strided ones.
+
+    A nonzero entry of `lower` above the diagonal is refused: it would be
+    multiplied with but not mirrored, so products would use a
+    non-symmetric matrix while `symmetric` and the Cholesky oracle, which
+    reads the lower triangle, describe another.
     """
 
     def __init__(self, lower: sp.csr_matrix, n: int):
@@ -158,6 +163,10 @@ class SparseOperator(LinearOperator):
             raise ValueError("lower-triangle storage must be n-by-n")
         if not np.isfinite(lower.data).all():
             raise ValueError("matrix contains non-finite entries")
+        rows = np.repeat(np.arange(n), np.diff(lower.indptr))
+        if np.any((lower.indices > rows) & (lower.data != 0.0)):
+            raise ValueError("lower-triangle storage has a nonzero entry above the diagonal; "
+                             "pass sp.tril(A) of a symmetric A")
         self._full = sp.csr_matrix(lower + sp.tril(lower, -1).T)
         self.n = n
         self.symmetric = True
@@ -197,7 +206,13 @@ class SparseOperator(LinearOperator):
 
 
 class NormalizedOperator:
-    """B = K / lambda_u with all eigenvalues in (0, 1] for PD K."""
+    """B = K / lambda_u with all eigenvalues in (0, 1] for PD K.
+
+    The validated pair (K, lambda_u), not an operator of its own: the moment
+    pass and SLQ each multiply by `inner` and divide the product by
+    `lambda_u` themselves, so neither makes a pass over the block that it
+    does not need.
+    """
 
     def __init__(self, inner: LinearOperator, lambda_u: float):
         if not (lambda_u > 0 and np.isfinite(lambda_u)):
@@ -205,11 +220,6 @@ class NormalizedOperator:
         self.inner = inner
         self.lambda_u = float(lambda_u)
         self.n = inner.n
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        out = self.inner.matmat(X)  # a new array, so it may be divided in place
-        out /= self.lambda_u
-        return out
 
 
 def identity(n: int) -> DenseOperator:

@@ -20,8 +20,8 @@ the solver's floor, which a certified lower bound on the spectrum raises;
 the prior only weights its nodes. The solve returns E_q[log x]
 integrated with the quadrature weights it ended on, so the
 log-determinant estimate needs no second grid. One function,
-`_reweight`, forms q0 exp(-[1 + sum alpha_i f_i]) for the dual, the
-density and the integral alike.
+`_reweight`, forms q0 exp(-[1 + sum alpha_i f_i]) for the dual and the
+integral alike, and only at the grid's nodes.
 
 The gradient and Hessian come from the 2m + 1 Chebyshev moments of the
 current weights w on the N-node grid, g_k = sum_q w_q T_k(t_q) with
@@ -136,7 +136,12 @@ class SolverConfig:
 
 @dataclass
 class SurrogateDensity:
-    """Prior reweighted by the exponential of a fitted polynomial."""
+    """Prior reweighted by the exponential of a fitted polynomial.
+
+    It holds the fit and is not evaluated pointwise: the fitted exponent
+    is only trusted on the solve grid, where `integrate_log_expectation`
+    reads it.
+    """
 
     prior: PriorSpec
     basis: MomentBasis
@@ -146,10 +151,6 @@ class SurrogateDensity:
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.shape != (self.basis.order + 1,):
             raise ValueError("alpha length must be order + 1")
-
-    def density(self, lam: np.ndarray) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        return _reweight(self.prior.density(lam), self.basis.vandermonde(lam), self.alpha)
 
 
 @dataclass

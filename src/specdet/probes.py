@@ -1,7 +1,8 @@
 """Stochastic estimation of normalized spectral moments.
 
 Moments mu_i = (1/n) Tr f_i(B) are estimated with Rademacher probes
-(Hutchinson's method). Three bases are supported on [0, 1]: raw powers,
+(Hutchinson's method), drawn by `probe_matrix`, the one probe draw that
+every estimator reads. Three bases are supported on [0, 1]: raw powers,
 shifted Chebyshev T_i(2x-1), and shifted Legendre P_i(2x-1).
 
 Each basis is defined once, by its recurrence in `_recurrence`: f_i+1 =
@@ -166,22 +167,26 @@ class SpectralMoments:
         return self.samples.var(axis=0, ddof=1)
 
 
-def _probe_bits(seed: int, index: int) -> np.random.PCG64:
-    """Bit generator of probe `index` of stream `seed`, schedule-independent."""
-    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def probe_matrix(n: int, d: int, seed: int) -> np.ndarray:
+    """The d Rademacher probes of stream `seed`, as columns; shape (n, d).
 
+    The only probe draw: every estimator reads its probes from here. Probe
+    j reads ceil(n/2) raw 64-bit words of
+    `PCG64(SeedSequence(seed, spawn_key=(j,)))`, and its entry i is +1
+    where the top bit of 32-bit half i (low half first) is set, -1
+    elsewhere, so z.z == n exactly. That equals
+    `Generator.integers(0, 2, size=n)` on the same bit generator bit for
+    bit (numpy 2.4), but raw PCG64 output is stable across numpy versions,
+    while `Generator.integers` streams are not promised to be.
 
-def probe_rng(seed: int, index: int) -> np.random.Generator:
-    """Generator for probe `index` of stream `seed`, schedule-independent."""
-    return np.random.Generator(_probe_bits(seed, index))
-
-
-def _rademacher_block(n: int, bit_generators) -> np.ndarray:
-    """The (n, d) +-1 block of one probe per bit generator, drawn as `probe_matrix` says."""
+    Probe j depends on (seed, j) alone, not on d, and methods that share a
+    seed share these exact probes, so cross-method comparisons are paired.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    words = np.empty((len(bit_generators), -(-n // 2)), dtype=np.uint64)
-    for row, bits in zip(words, bit_generators):
+    words = np.empty((d, -(-n // 2)), dtype=np.uint64)
+    for j, row in enumerate(words):
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
         row[:] = bits.random_raw(words.shape[1])
     # the 32-bit halves, low first, as signed integers: an arithmetic shift
     # leaves -1 where the top bit is set and 0 elsewhere, and the whole block
@@ -191,34 +196,6 @@ def _rademacher_block(n: int, bit_generators) -> np.ndarray:
     signs *= -2
     signs -= 1
     return np.ascontiguousarray(signs.T, dtype=float)
-
-
-def rademacher_probe(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vector of i.i.d. +-1 entries; z.z == n exactly for every draw.
-
-    Drawn from ceil(n/2) raw words of `rng`'s bit generator as in
-    `probe_matrix`. With odd n the high half of the last word is
-    discarded, so a generator reused for another draw goes on with its
-    next whole word.
-    """
-    return _rademacher_block(n, [rng.bit_generator]).ravel()
-
-
-def probe_matrix(n: int, d: int, seed: int) -> np.ndarray:
-    """The d Rademacher probes of stream `seed`, as columns; shape (n, d).
-
-    Probe j reads ceil(n/2) raw 64-bit words of
-    `PCG64(SeedSequence(seed, spawn_key=(j,)))`, and its entry i is +1
-    where the top bit of 32-bit half i (low half first) is set, -1
-    elsewhere. That equals `Generator.integers(0, 2, size=n)` on the same
-    bit generator bit for bit (numpy 2.4), but raw PCG64 output is stable
-    across numpy versions, while `Generator.integers` streams are not
-    promised to be.
-
-    Methods that share a seed share these exact probes, so cross-method
-    comparisons are paired.
-    """
-    return _rademacher_block(n, [_probe_bits(seed, j) for j in range(d)])
 
 
 def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -302,6 +302,20 @@ class TestLanczos:
         assert est.value == pytest.approx(np.log(eps) + np.log(0.5), rel=1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+@pytest.mark.parametrize("method", [logdet_maxent, logdet_taylor, logdet_chebyshev,
+                                    logdet_lanczos])
+def test_scale_range(method, scale):
+    # log det sA = n log s + log det A far from 1: every product is divided by
+    # lambda_u before a norm or inner product squares it
+    A = random_spd(50, 3).to_dense()
+    A = 0.5 * (A + A.T)  # exactly symmetric, as its scaled copies are then
+    cfg = EstimatorConfig(m=20, d=5, seed=0)
+    base = method(DenseOperator(A), cfg).value
+    scaled = method(DenseOperator(scale * A), cfg).value - 50 * np.log(scale)
+    assert scaled == pytest.approx(base, rel=1e-12)
+
+
 class TestIndefiniteMoments:
     """A Chebyshev moment sample past 1 in magnitude proves an eigenvalue below 0."""
 
@@ -409,7 +423,7 @@ def lanczos_reference(B, Z, m, reorthogonalize=True):
         Q = [z / np.linalg.norm(z)]
         alpha, beta = [], []
         for j in range(m):
-            w = B.matmat(Q[j][:, None])[:, 0]
+            w = B.inner.matmat(Q[j][:, None])[:, 0] / B.lambda_u
             alpha.append(Q[j] @ w)
             if j == m - 1:
                 break

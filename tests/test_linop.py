@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specdet.linop import (DenseOperator, LinearOperator, MatrixMarketError,
                            SparseOperator, gershgorin_upper_bound, identity,
@@ -165,6 +166,13 @@ class TestSparseOperator:
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             SparseOperator.from_coo([0, 1, 1], [0, 0, 1], [2.0, bad, 2.0], 2)
+
+    def test_entry_above_the_diagonal_rejected(self):
+        # it would be multiplied with but not mirrored, nor read by the oracle
+        with pytest.raises(ValueError, match=r"above the diagonal.*sp\.tril"):
+            SparseOperator(sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]), 2)
+        lower = sp.csr_matrix(([0.0, 2.0], ([0, 1], [1, 1])), shape=(2, 2))
+        assert np.array_equal(SparseOperator(lower, 2).to_dense(), [[0.0, 0.0], [0.0, 2.0]])
 
 
 class TestDenseOperator:

@@ -7,7 +7,7 @@ from specdet.linop import DenseOperator, identity, normalize
 from specdet.maxent import _moment_penalty
 from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             SpectralMoments, estimate_moments, moments_to_power,
-                            probe_matrix, probe_rng, rademacher_probe)
+                            probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
 
 
@@ -54,22 +54,18 @@ def rolled_power_matrix(basis):
 
 class TestRademacher:
     def test_support(self):
-        z = rademacher_probe(4, probe_rng(0, 0))
+        z = probe_matrix(4, 1, 0)
         assert set(np.unique(z)) <= {-1.0, 1.0}
 
     def test_squared_norm_is_exactly_n(self):
-        for idx in range(20):
-            z = rademacher_probe(17, probe_rng(3, idx))
+        for z in probe_matrix(17, 20, 3).T:
             assert z @ z == 17.0
 
     def test_componentwise_mean_near_zero(self):
         # CLT bound: 3 sigma / sqrt(N) = 3/sqrt(1e5) < 0.01; spec band 0.02
         N = 100_000
-        rng = probe_rng(1, 0)
-        total = np.zeros(4)
-        for _ in range(N):
-            total += rademacher_probe(4, rng)
-        assert np.abs(total / N).max() <= 0.02
+        draws = probe_matrix(4 * N, 1, 1).reshape(N, 4)
+        assert np.abs(draws.mean(axis=0)).max() <= 0.02
 
     def test_probe_matrix_schedule_independence(self):
         # probe j is a function of (seed, j) only, not of d
@@ -84,15 +80,6 @@ class TestRademacher:
             [1, 1, 1], [1, 1, 1], [-1, -1, -1], [-1, -1, -1], [1, -1, 1]]
         assert probe_matrix(9, 2, seed=7).tolist() == [
             [-1, 1], [1, -1], [-1, -1], [-1, -1], [1, -1], [1, -1], [1, -1], [1, -1], [1, -1]]
-        assert rademacher_probe(7, probe_rng(4, 1)).tolist() == [1, 1, 1, 1, -1, -1, -1]
-
-    def test_odd_length_draw_discards_the_last_half_word(self):
-        # a reused generator starts each draw on a whole word
-        rng = probe_rng(4, 1)
-        rademacher_probe(7, rng)
-        words = probe_rng(4, 1).bit_generator.random_raw(8)
-        expect = np.where(words[4:].astype("<u8").view("<u4")[:7] >> 31, 1.0, -1.0)
-        assert np.array_equal(rademacher_probe(7, rng), expect)
 
 
 class TestMomentBasis:
