@@ -24,7 +24,7 @@ from .maxent import SolverConfig, UniformPrior, fit_beta_prior
 from .probes import (BASIS_KINDS, CHEBYSHEV, MomentBasis, estimate_moments,
                      moments_to_power, probe_matrix)
 
-PRIORS = ("uniform", "beta", "auto")
+PRIORS = ("uniform", "auto")
 _CHEB_FLOOR = 1e-6  # lower endpoint of the Chebyshev log-interpolation interval
 _FACTOR_GUARD = 20_000  # largest n the oracle and the condition number make dense
 
@@ -100,8 +100,6 @@ def _choose_prior(cfg: EstimatorConfig, moments) -> maxent.PriorSpec:
     try:
         return fit_beta_prior(float(p.values[1]), float(p.values[2]))
     except ValueError:  # a DegenerateSpectrumError is one
-        if cfg.prior == "beta":
-            raise
         return UniformPrior()
 
 
@@ -122,8 +120,6 @@ def _estimate(method: str, op: LinearOperator, cfg: EstimatorConfig | None,
 
 
 def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
-    if cfg.m < 2 and cfg.prior == "beta":
-        raise ValueError("prior fitting needs at least two moments")
     moments = estimate_moments(B, MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
     if moments.values[1] >= 1.0:
         # every basis has f_1 < f_1(1) = 1 on [0, 1), so a mean of 1 puts all

@@ -96,9 +96,14 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Operator backed by a dense symmetric ndarray."""
+    """Operator backed by a dense symmetric ndarray.
 
-    def __init__(self, matrix: np.ndarray, symmetric: bool | None = None):
+    `symmetric=True` is the caller's guarantee that the matrix is exactly
+    symmetric, as a kernel built by mirroring its lower triangle is; it
+    skips the tile-by-tile comparison that otherwise decides `symmetric`.
+    """
+
+    def __init__(self, matrix: np.ndarray, symmetric: bool = False):
         A = np.asarray(matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got shape {A.shape}")
@@ -110,7 +115,7 @@ class DenseOperator(LinearOperator):
         # A^T must be Fortran-ordered for dgemm to take it without a copy
         self.A = np.ascontiguousarray(A)
         self.n = A.shape[0]
-        self.symmetric = _is_symmetric(self.A) if symmetric is None else symmetric
+        self.symmetric = symmetric or _is_symmetric(self.A)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # f2py reports a mismatch as _fblas.error, not ValueError
@@ -139,9 +144,10 @@ class DenseOperator(LinearOperator):
 class SparseOperator(LinearOperator):
     """Symmetric sparse operator built from its lower triangle.
 
-    The operator stores one CSR matrix holding the whole matrix, lower
-    plus the transpose of its strictly lower part; products, the dense
-    copy, the diagonal and the row sums all read it. Adding only entries
+    The triangle is a square sparse matrix, at least 1x1, whose shape
+    gives n. The operator stores one CSR matrix holding the whole matrix,
+    lower plus the transpose of its strictly lower part; products, the
+    dense copy, the diagonal and the row sums all read it. Adding only entries
     of disjoint positions keeps every value as given, however large, and
     drops explicit zeros, so `lower`, the triangle read back out of it for
     writing, holds every nonzero entry given and no explicit zero. CSR
@@ -155,12 +161,11 @@ class SparseOperator(LinearOperator):
     reads the lower triangle, describe another.
     """
 
-    def __init__(self, lower: sp.csr_matrix, n: int):
-        if n < 1:
-            raise ValueError("matrix must be at least 1x1")
+    def __init__(self, lower: sp.csr_matrix):
         lower = sp.csr_matrix(lower)
-        if lower.shape != (n, n):
-            raise ValueError("lower-triangle storage must be n-by-n")
+        n = lower.shape[0]
+        if lower.shape != (n, n) or n < 1:
+            raise ValueError(f"lower triangle must be square and at least 1x1, got {lower.shape}")
         if not np.isfinite(lower.data).all():
             raise ValueError("matrix contains non-finite entries")
         rows = np.repeat(np.arange(n), np.diff(lower.indptr))
@@ -173,7 +178,10 @@ class SparseOperator(LinearOperator):
 
     @classmethod
     def from_coo(cls, rows, cols, vals, n: int) -> "SparseOperator":
-        """Build from triplets of one triangle (row >= col after swap)."""
+        """Build from triplets of one triangle (row >= col after swap).
+
+        n is given because triplets cannot show trailing empty rows.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -181,7 +189,7 @@ class SparseOperator(LinearOperator):
         r = np.where(swap, cols, rows)
         c = np.where(swap, rows, cols)
         lower = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
-        return cls(lower, n)
+        return cls(lower)
 
     @property
     def lower(self) -> sp.csr_matrix:
@@ -212,9 +220,15 @@ class NormalizedOperator:
     pass and SLQ each multiply by `inner` and divide the product by
     `lambda_u` themselves, so neither makes a pass over the block that it
     does not need.
+
+    K must be symmetric: the moment pass's doubling identities and the
+    Lanczos recurrence both assume it, and on a non-symmetric K they would
+    return numbers for neither K nor its symmetric part, so it is refused.
     """
 
     def __init__(self, inner: LinearOperator, lambda_u: float):
+        if not inner.symmetric:
+            raise ValueError("normalized operator requires a symmetric operator")
         if not (lambda_u > 0 and np.isfinite(lambda_u)):
             raise ValueError("lambda_u must be positive and finite")
         self.inner = inner
@@ -305,20 +319,14 @@ def read_matrix_market(path) -> SparseOperator:
 def write_matrix_market(op: LinearOperator, path) -> None:
     """Write the lower triangle as coordinate real symmetric, full precision.
 
-    Only nonzero entries are written: a dense operator's zeros are skipped,
-    and a sparse operator holds no explicit zero.
+    Only nonzero entries are written: a sparse operator holds no explicit
+    zero, and a dense operator's triangle goes through the same sparse
+    form, which keeps none.
     """
     if not op.symmetric:
         raise ValueError("only symmetric operators can be written as symmetric files")
-    if isinstance(op, SparseOperator):
-        lower = op.lower.tocoo()
-        rows, cols, vals = lower.row, lower.col, lower.data
-    else:
-        A = op.to_dense()
-        rows, cols = np.tril_indices(op.n)
-        vals = A[rows, cols]
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    lower = (op.lower if isinstance(op, SparseOperator) else sp.tril(op.to_dense())).tocoo()
+    rows, cols, vals = lower.row, lower.col, lower.data
     order = np.lexsort((rows, cols))
     np.savetxt(path, np.column_stack((rows + 1, cols + 1, vals))[order],
                fmt="%d %d %.17g", comments="",

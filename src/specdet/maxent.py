@@ -33,9 +33,11 @@ costs one pass over the N x (m+1) Chebyshev Vandermonde matrix, a product
 of its transpose with w and w T_m. The
 basis's change of basis L (f_i = sum_k L[i, k] T_k, the identity for the
 Chebyshev basis) maps g to the gradient mu - L g[:m+1] + p alpha and the
-Hessian L G L^T + diag(p). A Newton step thus costs O(N m) for the
-weights and moments plus O(m^3) for the Cholesky solve, not the
-O(N m^2) of forming F^T diag(w) F directly.
+Hessian L G L^T + diag(p), and alpha to the Chebyshev coefficients
+L^T alpha of the exponent, so T is the one Vandermonde matrix for every
+basis and the basis's own F = T L^T is never formed. A Newton step thus
+costs O(N m) for the weights and moments plus O(m^3) for the Cholesky
+solve, not the O(N m^2) of forming F^T diag(w) F directly.
 """
 
 from __future__ import annotations
@@ -162,9 +164,15 @@ class SolveResult:
     log_expectation: float  # int q log x dx on the solve's grid
 
 
-def _reweight(q0: np.ndarray, F: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """q0 * exp(-(1 + F alpha)), refusing an exponent past _EXP_LIMIT."""
-    a = 1.0 + F @ alpha
+def _reweight(q0: np.ndarray, T: np.ndarray, alpha: np.ndarray,
+              L: np.ndarray | None = None) -> np.ndarray:
+    """q0 * exp(-(1 + T L^T alpha)), refusing an exponent past _EXP_LIMIT.
+
+    T L^T is the basis's Vandermonde matrix F when T holds the Chebyshev
+    values at the nodes and L the basis's `chebyshev_matrix`; L None is
+    the identity, so T is then F itself.
+    """
+    a = 1.0 + T @ (alpha if L is None else L.T @ alpha)
     if np.any(-a > _EXP_LIMIT):
         raise OverflowError("dual exponent overflow; rescale coefficients or reduce the order")
     return q0 * np.exp(-a)
@@ -204,6 +212,16 @@ def _prior_grid(prior: PriorSpec, config: SolverConfig):
     return nodes, w * prior.density(nodes)
 
 
+def _chebyshev_form(basis: MomentBasis, nodes: np.ndarray):
+    """(T, L): T_k(2x - 1) at the nodes for k = 0..m, and L with F = T L^T.
+
+    L is the basis's `chebyshev_matrix`, or None for the Chebyshev basis,
+    whose L is exactly the identity, so its products are skipped.
+    """
+    L = None if basis.kind == CHEBYSHEV else basis.chebyshev_matrix()
+    return MomentBasis(CHEBYSHEV, basis.order).vandermonde(nodes), L
+
+
 def _log_expectation(nodes: np.ndarray, weights: np.ndarray) -> float:
     """sum weights * log(nodes), at most 0: nodes lie in (0, 1), weights are >= 0."""
     return float(weights @ np.log(nodes))
@@ -230,18 +248,13 @@ class DualProblem:
         self.mu = np.asarray(moments, dtype=float)
         self.penalty = np.zeros_like(self.mu) if penalty is None else np.asarray(penalty, float)
         self.nodes, self.wq0 = _prior_grid(prior, config or SolverConfig())
-        self.F = basis.vandermonde(self.nodes)
-        if basis.kind == CHEBYSHEV:  # L is exactly the identity: skip its products
-            self.T, self.L = self.F, None
-        else:
-            self.T = MomentBasis(CHEBYSHEV, basis.order).vandermonde(self.nodes)
-            self.L = basis.chebyshev_matrix()
+        self.T, self.L = _chebyshev_form(basis, self.nodes)
         i = np.arange(basis.order + 1)
         self._i_plus_j, self._i_minus_j = np.add.outer(i, i), np.abs(np.subtract.outer(i, i))
 
     def weights(self, alpha: np.ndarray) -> np.ndarray:
-        """Quadrature weights of q at alpha: wq0 * exp(-(1 + F alpha))."""
-        return _reweight(self.wq0, self.F, alpha)
+        """Quadrature weights of q at alpha: wq0 * exp(-(1 + F alpha)), F alpha = T (L^T alpha)."""
+        return _reweight(self.wq0, self.T, alpha, self.L)
 
     def gram_moments(self, we: np.ndarray) -> np.ndarray:
         """g_k = sum_q we_q T_k(t_q) for k = 0..2m, from one product with T^T.
@@ -370,8 +383,11 @@ def integrate_log_expectation(q: SurrogateDensity,
     The grid is the one `solve` integrates on, so the density is only
     evaluated where its moments were constrained; a fitted exponent
     polynomial is not trustworthy off that grid when coefficients are
-    large (near-point-mass spectra). For the density and config of a
-    solve this equals its `log_expectation` bit for bit.
+    large (near-point-mass spectra). The weights are formed as the solve
+    forms them, from the Chebyshev Vandermonde matrix and L^T alpha, so
+    for the density and config of a solve this equals its
+    `log_expectation` bit for bit in every basis.
     """
     nodes, wq0 = _prior_grid(q.prior, config or SolverConfig())
-    return _log_expectation(nodes, _reweight(wq0, q.basis.vandermonde(nodes), q.alpha))
+    T, L = _chebyshev_form(q.basis, nodes)
+    return _log_expectation(nodes, _reweight(wq0, T, q.alpha, L))

@@ -170,11 +170,9 @@ class TestMaxent:
 
     def test_one_moment_auto_prior_is_uniform(self):
         # no second moment to fit a Beta to, so auto falls back as it does
-        # for a spectrum without variance; an explicit beta prior is refused
+        # for a spectrum without variance
         est = logdet_maxent(diag124(), EstimatorConfig(m=1, d=4))
         assert np.isfinite(est.value)
-        with pytest.raises(ValueError, match="at least two moments"):
-            logdet_maxent(diag124(), EstimatorConfig(m=1, d=4, prior="beta"))
 
     def test_prior_choice_validation(self):
         with pytest.raises(ValueError, match="unknown prior"):
@@ -316,6 +314,20 @@ def test_scale_range(method, scale):
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [1e-308, 5e-320], ids=["1e-308", "5e-320"])
+def test_subnormal_quarter_scale_identity_exact(c):
+    # lambda_u / 4 is below the smallest normal float, so the moment pass
+    # divides by lambda_u and scales after; c I still gives samples of 1
+    op = DenseOperator(c * np.eye(20), symmetric=True)
+    cfg = EstimatorConfig(m=6, d=4, seed=0)
+    B = normalize(op)
+    assert B.lambda_u / 4.0 < np.finfo(float).tiny
+    mom = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed)
+    assert np.array_equal(mom.samples, np.ones((cfg.d, cfg.m + 1)))
+    for method in (logdet_taylor, logdet_chebyshev, logdet_maxent):
+        assert method(op, cfg).value == 20 * np.log(B.lambda_u)
+
+
 class TestIndefiniteMoments:
     """A Chebyshev moment sample past 1 in magnitude proves an eigenvalue below 0."""
 
@@ -397,7 +409,7 @@ class TestLanczosBlockWidth:
         g = 150
         T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
         L = sp.kron(sp.identity(g), T) + sp.kron(T, sp.identity(g))
-        op = SparseOperator(sp.tril(L), g * g)
+        op = SparseOperator(sp.tril(L))
         assert 0 < op.nbytes < estimators._BASIS_BYTES
         widths = self.block_widths(monkeypatch)
         logdet_lanczos(op, EstimatorConfig(m=30, d=3, seed=0))
@@ -446,12 +458,12 @@ def lanczos_reference(B, Z, m, reorthogonalize=True):
 def grid_laplacian(g):
     T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g))
     L = sp.kron(sp.identity(g), T) + sp.kron(T, sp.identity(g))
-    return SparseOperator(sp.tril(L), g * g)
+    return SparseOperator(sp.tril(L))
 
 
 def mass_matrix(n):
     M = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n)) / 6.0
-    return SparseOperator(sp.tril(M), n)
+    return SparseOperator(sp.tril(M))
 
 
 class TestPartialReorthogonalization:

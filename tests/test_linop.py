@@ -8,8 +8,8 @@ import pytest
 import scipy.sparse as sp
 
 from specdet.linop import (DenseOperator, LinearOperator, MatrixMarketError,
-                           SparseOperator, gershgorin_upper_bound, identity,
-                           normalize, read_matrix_market, write_matrix_market)
+                           NormalizedOperator, SparseOperator, gershgorin_upper_bound,
+                           identity, normalize, read_matrix_market, write_matrix_market)
 
 
 def tridiag(n, diag=2.0, off=-1.0):
@@ -170,9 +170,15 @@ class TestSparseOperator:
     def test_entry_above_the_diagonal_rejected(self):
         # it would be multiplied with but not mirrored, nor read by the oracle
         with pytest.raises(ValueError, match=r"above the diagonal.*sp\.tril"):
-            SparseOperator(sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]), 2)
+            SparseOperator(sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]))
         lower = sp.csr_matrix(([0.0, 2.0], ([0, 1], [1, 1])), shape=(2, 2))
-        assert np.array_equal(SparseOperator(lower, 2).to_dense(), [[0.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(SparseOperator(lower).to_dense(), [[0.0, 0.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0)], ids=["non-square", "empty"])
+    def test_triangle_shape_gives_n(self, shape):
+        assert SparseOperator(sp.tril(np.eye(3))).n == 3
+        with pytest.raises(ValueError, match=r"square and at least 1x1, got \(%d, %d\)" % shape):
+            SparseOperator(sp.csr_matrix(shape))
 
 
 class TestDenseOperator:
@@ -225,6 +231,12 @@ class TestDenseOperator:
         assert op.symmetric
         assert peak < A.nbytes // 50
 
+    def test_symmetric_false_still_compares(self):
+        # True is the caller's guarantee; without it the matrix decides
+        assert DenseOperator(np.eye(3), symmetric=False).symmetric
+        assert not DenseOperator([[2.0, 0.1], [0.0, 2.0]]).symmetric
+        assert DenseOperator([[2.0, 0.1], [0.0, 2.0]], symmetric=True).symmetric
+
     def test_base_class_has_no_product(self):
         with pytest.raises(NotImplementedError):
             LinearOperator().matmat(np.ones((2, 2)))
@@ -255,6 +267,16 @@ class TestNbytes:
                 return self.inner.matmat(X)
 
         assert Delegating(DenseOperator(tridiag(40))).nbytes == 0
+
+
+class TestNormalizedOperator:
+    @pytest.mark.parametrize("A", [[[2.0, 0.1], [0.0, 2.0]], [[2.0, 1.0], [0.0, 2.0]]],
+                             ids=["off-0.1", "off-1"])
+    def test_non_symmetric_refused(self, A):
+        # the moment pass and Lanczos would answer for neither A nor its
+        # symmetric part, or raise a misleading NotPositiveDefiniteError
+        with pytest.raises(ValueError, match="symmetric"):
+            NormalizedOperator(DenseOperator(A), 2.1)
 
 
 class TestGershgorin:
