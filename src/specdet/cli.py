@@ -2,6 +2,11 @@
 
 Exit codes: 0 ok, 2 usage, 3 input parse failure, 4 numerical failure,
 5 estimator flagged non-convergence.
+
+A command raises `CLIError` where it finds a failure; `main` alone prints its
+one stderr line and returns its exit code, and nothing is written to stdout.
+The phase that fails sets the code: flag validation is a usage error, loading
+a source a parse error, an estimate a numerical failure.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from . import estimators
 from .estimators import (METHODS, PRIORS, EstimatorConfig, condition_number_estimate,
                          estimate_logdet, logdet_exact)
 from .linop import identity, normalize, read_matrix_market
@@ -31,6 +35,27 @@ EXIT_NONCONVERGED = 5
 # what an estimate can raise on input that parsed but cannot be estimated
 _NUMERICAL_ERRORS = (ValueError, RuntimeError, OverflowError)
 
+# bench runs kappa and the Cholesky oracle up to this n; the library's own
+# guard (20 000) would cost minutes and two 3.2 GB dense copies per case
+_EXACT_GUARD = 5000
+
+
+class CLIError(Exception):
+    """A failure that `main` prints as its one stderr line and exits with `code`."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _fails_as(code: int, prefix: str, errors=ValueError):
+    """Raise `errors` from the block as a CLIError with `code` and `prefix`."""
+    try:
+        yield
+    except errors as exc:
+        raise CLIError(code, f"{prefix}{exc}") from exc
+
 
 @dataclass
 class BenchRecord:
@@ -42,10 +67,10 @@ class BenchRecord:
     m: int
     d: int
     seed: int
-    estimate: float | None
-    exact: float | None
-    rel_error: float | None
-    wall_time_ms: float | None
+    estimate: float | None = None
+    exact: float | None = None
+    rel_error: float | None = None
+    wall_time_ms: float | None = None
     error: str = ""
 
 
@@ -99,11 +124,6 @@ def _estimator_config(args, min_eig_hint: float | None = None) -> EstimatorConfi
                            min_eigenvalue=min_eig)
 
 
-def _usage_error(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _add_kernel_flag(p: argparse.ArgumentParser):
     p.add_argument("--se-kernel", metavar="KEY=VAL[,KEY=VAL...]",
                    help="synthetic SE kernel, keys: n,dim,l,noise,scale,seed")
@@ -150,21 +170,13 @@ def _print_json(obj) -> None:
 
 
 def cmd_logdet(args) -> int:
-    try:
+    with _fails_as(EXIT_USAGE, "error: "):
         _estimator_config(args)  # out-of-range flags fail before the operator is built
-    except ValueError as exc:
-        return _usage_error(exc)
-    try:
+    with _fails_as(EXIT_PARSE, "error: ", (OSError, ValueError)):
         op, dataset, _, min_eig = _load_operator(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     cfg = _estimator_config(args, min_eig)  # valid too: a source's hint is finite
-    try:
+    with _fails_as(EXIT_NUMERICAL, "numerical failure: ", _NUMERICAL_ERRORS):
         est = estimate_logdet(op, args.method, cfg)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     if args.json:
         _print_json({"dataset": dataset, **asdict(est)})
     else:
@@ -180,23 +192,15 @@ def cmd_logdet(args) -> int:
 
 def cmd_moments(args) -> int:
     if args.probes < 1:
-        return _usage_error("probe count d must be >= 1")
+        raise CLIError(EXIT_USAGE, "error: probe count d must be >= 1")
     if args.seed < 0:
-        return _usage_error(f"seed must be >= 0, got {args.seed}")
-    try:
+        raise CLIError(EXIT_USAGE, f"error: seed must be >= 0, got {args.seed}")
+    with _fails_as(EXIT_USAGE, "error: "):
         basis = MomentBasis(args.basis, args.moments)
-    except ValueError as exc:
-        return _usage_error(exc)
-    try:
+    with _fails_as(EXIT_PARSE, "error: ", (OSError, ValueError)):
         op, dataset, _, _ = _load_operator(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+    with _fails_as(EXIT_NUMERICAL, "numerical failure: ", _NUMERICAL_ERRORS):
         moments = estimate_moments(normalize(op), basis, args.probes, args.seed)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     if args.json:
         _print_json({
             "dataset": dataset, "basis": args.basis, "m": args.moments,
@@ -212,83 +216,66 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
+def _attempt(fn, *args) -> tuple:
+    """(fn(*args), "") or, when it raises a numerical failure, (None, its message)."""
+    try:
+        return fn(*args), ""
+    except _NUMERICAL_ERRORS as exc:
+        return None, str(exc)
+
+
 def _bench_case(op, dataset, lengthscale, min_eig, methods, args) -> list:
     """One record per method on one operator; kappa and the oracle run once."""
     cfg = _estimator_config(args, min_eig)
-    records = [BenchRecord(dataset=dataset, n=op.n, kappa=None, lengthscale=lengthscale,
-                           method=method, m=cfg.m, d=cfg.d, seed=cfg.seed, estimate=None,
-                           exact=None, rel_error=None, wall_time_ms=None)
-               for method in methods]
     # kappa makes the same O(n^3) dense copy as the oracle, so it runs where the oracle does
-    oracle_runs = op.n <= args.exact_guard
-    try:
-        kappa = condition_number_estimate(op) if args.kappa and oracle_runs else None
-    except _NUMERICAL_ERRORS as exc:
-        for r in records:
-            r.error = str(exc)
-        return records
-    for r in records:
-        r.kappa = kappa
-        try:
-            est = estimate_logdet(op, r.method, cfg)
-        except _NUMERICAL_ERRORS as exc:
-            r.error = str(exc)
+    oracle_runs = op.n <= _EXACT_GUARD
+    kappa, failed = (_attempt(condition_number_estimate, op) if args.kappa and oracle_runs
+                     else (None, ""))
+    runs = [(None, failed) if failed else _attempt(estimate_logdet, op, method, cfg)
+            for method in methods]
+    # the `exact` method's value or failure is the oracle's; otherwise factor once here
+    exact, exact_error = None, ""
+    if oracle_runs and "exact" in methods:
+        est, exact_error = runs[methods.index("exact")]
+        exact = None if est is None else est.value
+    elif oracle_runs and any(est is not None for est, _ in runs):
+        exact, exact_error = _attempt(logdet_exact, op)
+    records = []
+    for method, (est, error) in zip(methods, runs):
+        case = dict(dataset=dataset, n=op.n, kappa=kappa, lengthscale=lengthscale,
+                    method=method, seed=cfg.seed)
+        if est is None:
+            records.append(BenchRecord(**case, m=cfg.m, d=cfg.d, error=error))
             continue
-        r.estimate, r.wall_time_ms = est.value, est.wall_time_ms
-        if not est.converged:
-            r.error = "non-converged"
-    done = [r for r in records if r.estimate is not None]
-    if not done or not oracle_runs:
-        return records
-    # an `exact` estimate is the oracle's value; otherwise factor once here
-    exact = next((r.estimate for r in done if r.method == "exact"), None)
-    try:
-        if exact is None:
-            exact = logdet_exact(op)
-    except _NUMERICAL_ERRORS as exc:
-        for r in done:
-            r.error = str(exc)
-        return records
-    for r in done:
-        r.exact, r.rel_error = exact, _rel_error(r.estimate, exact)
+        records.append(BenchRecord(
+            **case, m=est.m, d=est.d, estimate=est.value, exact=exact,
+            rel_error=None if exact is None else _rel_error(est.value, exact),
+            wall_time_ms=est.wall_time_ms,
+            error=exact_error or ("" if est.converged else "non-converged")))
     return records
 
 
 def cmd_bench(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
-        return _usage_error("empty methods list")
+        raise CLIError(EXIT_USAGE, "error: empty methods list")
     for m in methods:
         if m not in METHODS:
-            return _usage_error(f"unknown method {m!r}")
-    try:
+            raise CLIError(EXIT_USAGE, f"error: unknown method {m!r}")
+    with _fails_as(EXIT_USAGE, "error: "):
         _estimator_config(args)  # out-of-range flags fail before any case is built
-    except ValueError as exc:
-        return _usage_error(exc)
-    if args.exact_guard > estimators._FACTOR_GUARD:
-        return _usage_error(f"--exact-guard {args.exact_guard} exceeds the factorization "
-                            f"guard {estimators._FACTOR_GUARD}")
-    try:
+    with _fails_as(EXIT_PARSE, "error: "):
         spec = _parse_kernel_spec(args.se_kernel or "", args.seed)
         specs = [replace(spec, lengthscale=float(l))
                  for l in args.lengthscales.split(",")] if args.lengthscales else []
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
     files = []
     for path in args.files:
-        try:
+        with _fails_as(EXIT_PARSE, f"error reading {path}: ", (OSError, ValueError)):
             files.append(_case(path))
-        except (OSError, ValueError) as exc:
-            print(f"error reading {path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
     if not specs and not files:
-        return _usage_error("no benchmark cases (need --lengthscales or files)")
-    try:
+        raise CLIError(EXIT_USAGE, "error: no benchmark cases (need --lengthscales or files)")
+    with _fails_as(EXIT_USAGE, "error: cannot write --csv: ", OSError):
         out = open(args.csv, "w", newline="") if args.csv else None
-    except OSError as exc:
-        return _usage_error(f"cannot write --csv: {exc}")
 
     # with --json, stdout carries the JSON alone and the CSV goes only to --csv
     with out or contextlib.nullcontext(None if args.json else sys.stdout) as fh:
@@ -334,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_moment_flags(p_bench, probes=50)
     _add_solver_flags(p_bench)
     p_bench.add_argument("--kappa", action="store_true",
-                         help="exact condition numbers where the oracle runs")
-    p_bench.add_argument("--exact-guard", type=int, default=5000,
-                         help="run the exact oracle when n is at most this")
+                         help="exact condition numbers where the oracle runs (n <= 5000)")
     p_bench.add_argument("--csv", metavar="PATH", help="write records to PATH")
     p_bench.add_argument("--json", action="store_true")
     p_bench.set_defaults(fn=cmd_bench)
@@ -345,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CLIError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -27,12 +27,12 @@ def write_diag124(tmp_path):
     return str(path)
 
 
-def write_five_negative(tmp_path):
-    """200 x 200, eigenvalues uniform on [0.1, 1] except five at -0.05."""
+def write_five_negative(tmp_path, negative=-0.05):
+    """200 x 200, eigenvalues uniform on [0.1, 1] except five at `negative`."""
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
     lam = rng.uniform(0.1, 1.0, 200)
-    lam[:5] = -0.05
+    lam[:5] = negative
     path = tmp_path / "indef.mtx"
     write_matrix_market(DenseOperator(Q @ np.diag(lam) @ Q.T, symmetric=True), path)
     return str(path)
@@ -293,22 +293,6 @@ class TestBench:
         assert main(["bench", "--lengthscales", "0.5", "-d", "0"]) == 2
         assert_one_error_line(capsys.readouterr())
 
-    def test_exact_guard_past_the_factorization_guard_is_usage_error(self, monkeypatch,
-                                                                     capsys):
-        monkeypatch.setattr(estimators, "_FACTOR_GUARD", 30)
-        argv = ["bench", "--lengthscales", "0.5", "--se-kernel", "n=20",
-                "--methods", "taylor", "-m", "4", "-d", "2", "--kappa"]
-        assert main([*argv, "--exact-guard", "30"]) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0]["kappa"] != "" and rows[0]["exact"] != ""
-
-        def no_case(*args):
-            raise AssertionError("a case was built")
-
-        monkeypatch.setattr(cli, "se_kernel", no_case)
-        assert main([*argv, "--exact-guard", "31"]) == 2
-        assert_one_error_line(capsys.readouterr())
-
     @pytest.mark.parametrize("flags", [
         ["--lengthscales", "abc"],
         ["--lengthscales", "0.5,-1"],
@@ -408,6 +392,32 @@ class TestBench:
         for r in rows:
             assert float(r["exact"]) == want and r["kappa"] != ""
 
+    def test_failed_exact_method_is_the_oracle_answer(self, tmp_path, monkeypatch, capsys):
+        # eigenvalues at -1e-3 pass the partial moment check, so maxent and taylor answer
+        calls = []
+
+        def counted(op):
+            calls.append(op.n)
+            return logdet_exact(op)
+
+        monkeypatch.setattr(cli, "logdet_exact", counted)
+        monkeypatch.setattr(estimators, "logdet_exact", counted)
+        path = write_five_negative(tmp_path, negative=-1e-3)
+        assert main(["bench", path, "--methods", "maxent,taylor,exact"]) == 0
+        assert calls == [200]
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["estimate"] != "" for r in rows] == [True, True, False]
+        for r in rows:
+            assert "not positive definite" in r["error"] and r["exact"] == ""
+
+    def test_rows_report_the_m_and_d_of_their_estimate(self, capsys):
+        # the oracle reads no moments and no probes, as `estimate --method exact` reports
+        assert main(["bench", "--lengthscales", "0.5", "--se-kernel", "n=40",
+                     "--methods", "taylor,exact", "-m", "6", "-d", "4"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["method"], r["m"], r["d"]) for r in rows] == [("taylor", "6", "4"),
+                                                                  ("exact", "0", "0")]
+
     def test_kappa_on_indefinite_file_is_recorded(self, tmp_path, capsys):
         path = tmp_path / "indefinite.mtx"
         write_matrix_market(DenseOperator(np.diag([-1.0, 8.0])), path)
@@ -418,11 +428,12 @@ class TestBench:
             assert r["kappa"] == "" and r["estimate"] == ""
             assert "not positive definite" in r["error"]
 
-    def test_kappa_and_oracle_skip_a_file_past_the_exact_guard(self, tmp_path, capsys):
+    def test_kappa_and_oracle_skip_a_file_past_the_exact_guard(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr(cli, "_EXACT_GUARD", 20)
         path = tmp_path / "diag.mtx"
         write_matrix_market(DenseOperator(np.diag(np.linspace(1.0, 2.0, 30))), path)
-        assert main(["bench", str(path), "--kappa", "--exact-guard", "20",
-                     "-m", "4", "-d", "2"]) == 0
+        assert main(["bench", str(path), "--kappa", "-m", "4", "-d", "2"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert [r["method"] for r in rows] == ["maxent", "chebyshev", "lanczos"]
         for r in rows:
@@ -498,6 +509,26 @@ def test_indefinite_moments_are_numerical_error(command, tmp_path, capsys):
     assert_one_error_line(capsys.readouterr(), prefix="numerical failure: ")
 
 
+@pytest.mark.parametrize("error", [ValueError, RuntimeError, OverflowError])
+def test_estimate_failures_are_numerical(error, monkeypatch, capsys):
+    def fail(*args):
+        raise error("no estimate")
+
+    monkeypatch.setattr(cli, "estimate_logdet", fail)
+    monkeypatch.setattr(cli, "estimate_moments", fail)
+    for command in ("estimate", "moments"):
+        assert main([command, "--identity", "5"]) == 4
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, prefix="numerical failure: ")
+        assert captured.err == "numerical failure: no estimate\n"
+    # a bench case records its failure and the sweep goes on
+    assert main(["bench", "--lengthscales", "0.5", "--se-kernel", "n=20"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert captured.err == "" and len(rows) == 3
+    assert all(r["error"] == "no estimate" and r["estimate"] == "" for r in rows)
+
+
 @pytest.mark.parametrize("command", ["estimate", "moments", "bench"])
 def test_non_finite_entry_is_parse_error(command, tmp_path, capsys):
     path = tmp_path / "nan.mtx"
@@ -518,6 +549,17 @@ def test_readme_command_lines_parse():
     assert lines
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def exit_codes_named(text, pattern):
+    paragraph = text.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    return sorted(int(code) for code in re.findall(pattern, paragraph))
+
+
+def test_documented_exit_codes_are_the_codes():
+    codes = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+    assert exit_codes_named(readme_command_line_section(), r"`(\d+)` [a-z]") == codes
+    assert exit_codes_named(cli.__doc__, r"\b(\d+) [a-z]") == codes
 
 
 def test_readme_flags_are_options():
