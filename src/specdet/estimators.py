@@ -228,7 +228,9 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
     1e-160. Simon's recurrence tracks each column's loss of orthogonality
     from its alphas and betas alone. A column is reorthogonalized against its own
     basis, in one pass, when an estimate passes sqrt(eps), again on the step
-    after (Simon's pair rule), and whenever its beta is below sqrt(eps). A
+    after (Simon's pair rule), and whenever its beta is below sqrt(eps). Only
+    those columns are projected, one at a time, so a step costs O(j n) per
+    column that needs it, not per column of the block. A
     column whose beta then falls below 1e-12 has reached an invariant
     subspace: it stops there, which is exact, and its later vectors are
     zero. The loop ends once every column has stopped. A Ritz value below
@@ -259,7 +261,8 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         W -= np.multiply(alphas[:, j, None], q, out=scratch)
         if j > 0:
             W -= np.multiply(betas[:, j - 1, None], Q[:, j - 1], out=scratch)
-        beta = np.linalg.norm(W, axis=1)
+        # np.linalg.norm's arithmetic, with the squares written into scratch
+        beta = np.sqrt(np.add.reduce(np.multiply(W, W, out=scratch), axis=1))
         tiny = beta < _ORTH_LEVEL
         # omega_prev becomes step j + 1's estimates
         if j > 0:
@@ -277,11 +280,10 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         redo = lost | again
         again = lost & ~again
         if redo.any():
-            basis = Q[:, : j + 1]
-            h = np.matmul(basis, W[:, :, None])
-            h[~redo] = 0.0  # a row that skips keeps its W bit for bit
-            W -= np.matmul(h.transpose(0, 2, 1), basis)[:, 0]
-            beta = np.linalg.norm(W, axis=1)
+            for i in np.flatnonzero(redo):
+                basis, w = Q[i, : j + 1], W[i]
+                w -= np.dot(np.dot(basis, w), basis)
+            beta[redo] = np.linalg.norm(W[redo], axis=1)
             omega[redo, : j + 1] = noise
         stopped = active & (beta < 1e-12)
         steps[stopped] = j + 1
@@ -289,7 +291,8 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         if not active.any():
             break
         betas[active, j] = beta[active]
-        np.divide(W, beta[:, None], out=Q[:, j + 1], where=active[:, None])
+        np.divide(W, np.where(active, beta, 1.0)[:, None], out=Q[:, j + 1])
+        Q[~active, j + 1] = 0.0
     if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
         raise ValueError("Lanczos coefficients must not contain infs or NaNs")
     out = np.empty(b)

@@ -495,6 +495,16 @@ class TestPartialReorthogonalization:
         got = estimators._lanczos_log_quadrature(B, Z, 30)
         assert np.allclose(got, lanczos_reference(B, Z, 30), rtol=1e-13, atol=0.0)
 
+    def test_columns_reorthogonalizing_at_different_steps_match_each_alone(self):
+        # column 3 first reorthogonalizes one step after the other seven, so
+        # some steps project all but it and some it alone (71 of 232 column-steps)
+        B = normalize(se_kernel(KernelSpec(n=256, lengthscale=0.45, seed=1)))
+        Z = probe_matrix(256, 8, seed=1)
+        block = estimators._lanczos_log_quadrature(B, Z, 30)
+        alone = [estimators._lanczos_log_quadrature(B, Z[:, [j]], 30)[0] for j in range(8)]
+        assert np.allclose(block, alone, rtol=1e-12, atol=0.0)
+        assert np.allclose(block, lanczos_reference(B, Z, 30), rtol=1e-10, atol=0.0)
+
     def test_repeat_calls_are_bit_identical(self):
         op = se_kernel(KernelSpec(n=256, lengthscale=0.65, seed=2))
         cfg = EstimatorConfig(m=30, d=8, seed=3)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdet import DenseOperator, EstimatorConfig, KernelSpec, logdet_maxent, se_kernel
+from specdet import (DenseOperator, EstimatorConfig, KernelSpec, logdet_lanczos, logdet_maxent,
+                     se_kernel)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,25 +58,40 @@ def test_perfbench_imports_resolve():
     assert missing == []
 
 
+def benchmark_case(case: str, monkeypatch):
+    """(operator, config) of a case shaped like the benchmark's cells."""
+    if case == "small-se-kernel":
+        op = se_kernel(KernelSpec(n=256, dim=6, lengthscale=0.65, noise=1e-8, seed=3))
+        return op, EstimatorConfig(m=30, d=30, seed=11, min_eigenvalue=1e-8)
+    if case == "diag-no-hint":
+        # exact atomic-spectrum moments on the moment-cone boundary: no convergence
+        return DenseOperator(np.diag([1.0, 2.0, 4.0])), EstimatorConfig(m=10, d=4, seed=0)
+    op = load_perfbench("workloads", monkeypatch).laplacian_2d(30)
+    return op, EstimatorConfig(m=30, d=10, seed=0)
+
+
 @pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian", "diag-no-hint"])
 def test_maxent_replay_is_bit_identical(case, monkeypatch):
     # every benchmark run fails unless spans.maxent_replay equals logdet_maxent
     spans = load_perfbench("spans", monkeypatch)
-    if case == "small-se-kernel":
-        op = se_kernel(KernelSpec(n=256, dim=6, lengthscale=0.65, noise=1e-8, seed=3))
-        cfg = EstimatorConfig(m=30, d=30, seed=11, min_eigenvalue=1e-8)
-    elif case == "diag-no-hint":
-        # exact atomic-spectrum moments on the moment-cone boundary: no convergence
-        op = DenseOperator(np.diag([1.0, 2.0, 4.0]))
-        cfg = EstimatorConfig(m=10, d=4, seed=0)
-    else:
-        op = load_perfbench("workloads", monkeypatch).laplacian_2d(30)
-        cfg = EstimatorConfig(m=30, d=10, seed=0)
+    op, cfg = benchmark_case(case, monkeypatch)
     tracer = spans.Tracer()
     traced = spans.TracedOperator(op, tracer)
     value, _, result = spans.maxent_replay(traced, cfg, tracer)
     assert result.converged or case == "diag-no-hint"
     assert value == logdet_maxent(traced, cfg).value
+
+
+@pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian"])
+def test_traced_lanczos_is_bit_identical(case, monkeypatch):
+    # every traced benchmark run fails unless SLQ through the wrapper equals
+    # SLQ without it; the kernel case reorthogonalizes 360 of 870 column-steps
+    spans = load_perfbench("spans", monkeypatch)
+    op, cfg = benchmark_case(case, monkeypatch)
+    tracer = spans.Tracer()
+    assert logdet_lanczos(spans.TracedOperator(op, tracer), cfg).value == \
+        logdet_lanczos(op, cfg).value
+    assert len(tracer.by_name()["linop.matmat"][0]) == cfg.m  # one block of m steps
 
 
 def test_layer_metrics_read_the_replayed_moments(monkeypatch):
