@@ -49,9 +49,14 @@ _SYMMETRY_TILE = 128
 _ENTRY_DTYPE = [("i", np.int64), ("j", np.int64), ("v", float)]
 
 
-def row_blocks(n: int) -> list:
-    """(start, stop) of the row blocks, of ~256 KB, that an n-column array is walked in."""
-    step = max(1, _ROW_BLOCK_ELEMS // n)
+def row_blocks(n: int, width: int | None = None) -> list:
+    """(start, stop) of the row blocks, of ~256 KB, that an n x width array is walked in.
+
+    `width` defaults to n, for a square matrix. A block holds at most
+    `_ROW_BLOCK_ELEMS // width` rows, and at least one, and the blocks
+    cover rows 0..n-1 in order.
+    """
+    step = max(1, _ROW_BLOCK_ELEMS // (n if width is None else width))
     return [(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -210,7 +215,14 @@ class SparseOperator(LinearOperator):
         return self._full.diagonal()
 
     def abs_row_sums(self) -> np.ndarray:
-        return np.asarray(abs(self._full).sum(axis=1)).ravel()
+        # one sum of |data| per stored row, without building |A|; reduceat
+        # would give an empty row the next row's first entry, so only rows
+        # with entries are summed and the others stay 0
+        M = self._full
+        out = np.zeros(self.n)
+        stored = np.diff(M.indptr) > 0
+        out[stored] = np.add.reduceat(np.abs(M.data), M.indptr[:-1][stored])
+        return out
 
 
 class NormalizedOperator:

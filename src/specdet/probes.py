@@ -26,14 +26,19 @@ kernel polynomial method; Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
 Phys. 78, 2006). Power and Legendre moments are an exact linear map of
 the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
 
-For B = K / lambda_u each step multiplies by K itself and then makes three
-passes over the n x d block: a division by lambda_u / 4 (lambda_u / 2 at
-the first step), one in-place BLAS daxpy adding -2 T_k Z, and a
-subtraction of T_k-1 Z. Scaling by 2 or 4 commutes with rounding, so this
-equals dividing by lambda_u and then doubling and subtracting twice, as
-the recurrence reads, bit for bit. It is a division, not a product with a
-reciprocal: fl(4 / c) c != 4 for c = 49, 98, 103, ..., and a scaled
-identity c I must give moments of exactly 1.
+For B = K / lambda_u each step multiplies by K itself and then walks the
+n x d product in the ~256 KB row tiles of `linop.row_blocks(n, d)`. Each
+tile, while it is in cache, gets a division by lambda_u / 4 (lambda_u / 2
+at the first step), one in-place BLAS daxpy adding -2 T_k Z, a
+subtraction of T_k-1 Z and the two column sums that the identities above
+read; the tiles' sums are added up once per pass. Scaling by 2 or 4
+commutes with rounding, so this equals dividing by lambda_u and then
+doubling and subtracting twice, as the recurrence reads, bit for bit. It
+is a division, not a product with a reciprocal: fl(4 / c) c != 4 for
+c = 49, 98, 103, ..., and a scaled identity c I must give moments of
+exactly 1. The rounding error of a column sum grows with the tile
+length, not with n, and a block of one tile is summed as a whole column
+is. mu_0 = z.z / n is exactly 1 by the probe definition and is not summed.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import daxpy
 
-from .linop import NotPositiveDefiniteError
+from .linop import NotPositiveDefiniteError, row_blocks
 
 POWER = "power"
 CHEBYSHEV = "chebyshev"
@@ -198,11 +203,6 @@ def probe_matrix(n: int, d: int, seed: int) -> np.ndarray:
     return np.ascontiguousarray(signs.T, dtype=float)
 
 
-def _col_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Column-wise inner products X[:, j].Y[:, j]."""
-    return np.einsum("ij,ij->j", X, Y)
-
-
 def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
     """Per-probe quadratic forms z_j.f_i(B)z_j / n; shape (d, m+1).
 
@@ -215,29 +215,43 @@ def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
     # is exact; below lam = 2^-1020 lam / 4 is subnormal and may round, so
     # there the scaling follows the division
     exact_quarter = lam / 4.0 >= np.finfo(float).tiny
-    samples = np.empty((d, m + 1))
-    samples[:, 0] = _col_dot(Z, Z) / n
+    tiles = row_blocks(n, d)
+    steps = (m + 1) // 2
+    # step k, tile t: the column sums of T_k-1 Z * T_k Z and of T_k Z * T_k Z;
+    # zeros, so that a sum that a step does not need adds finite values
+    sums = np.zeros((steps, 2, len(tiles), d))
     prev, cur = None, Z
-    for k in range(1, (m + 1) // 2 + 1):
+    for k in range(1, steps + 1):
         # t = 2B - I: T_1 Z = 2BZ - Z and T_k+1 Z = 4B T_k Z - 2T_k Z - T_k-1 Z,
-        # three passes in place on the product, whose flat view daxpy updates
+        # in place on the product, one row tile at a time while it is in cache;
+        # the product's rows are contiguous, so a tile's flat view is what daxpy updates
         c = 2.0 if k == 1 else 4.0
-        nxt = np.require(B.inner.matmat(cur), float, "CAW")
-        if exact_quarter:
-            nxt /= lam / c
-        else:
-            nxt /= lam
-            nxt *= c
-        if k == 1:
-            nxt -= cur
-            samples[:, 1] = _col_dot(Z, nxt) / n
-        else:
-            daxpy(cur.reshape(-1), nxt.reshape(-1), a=-2.0)
-            nxt -= prev
-            samples[:, 2 * k - 1] = 2.0 * _col_dot(cur, nxt) / n - samples[:, 1]
-        if 2 * k <= m:
-            samples[:, 2 * k] = 2.0 * _col_dot(nxt, nxt) / n - samples[:, 0]
+        q = lam / c if exact_quarter else lam
+        even = 2 * k <= m  # moment 2k is wanted
+        dots, squares = sums[k - 1]
+        nxt = np.ascontiguousarray(B.inner.matmat(cur), dtype=float)
+        for t, (i, e) in enumerate(tiles):
+            x, y = cur[i:e], nxt[i:e]
+            y /= q
+            if not exact_quarter:
+                y *= c
+            if k == 1:
+                y -= x
+            else:
+                daxpy(x.reshape(-1), y.reshape(-1), a=-2.0)
+                y -= prev[i:e]
+            np.einsum("ij,ij->j", x, y, out=dots[t])
+            if even:
+                np.einsum("ij,ij->j", y, y, out=squares[t])
         prev, cur = cur, nxt
+    # the tiles are added up once for all steps; column k-1 of dot and square
+    # is step k, and the slices leave m = 0 with mu_0 alone
+    dot, square = sums.sum(axis=2).transpose(1, 2, 0)
+    samples = np.empty((d, m + 1))
+    samples[:, 0] = 1.0  # z.z == n for the probes of `probe_matrix`
+    samples[:, 1:2] = dot[:, :1] / n
+    samples[:, 3::2] = 2.0 * dot[:, 1:] / n - samples[:, 1:2]
+    samples[:, 2::2] = 2.0 * square[:, :m // 2] / n - samples[:, :1]
     # with B's spectrum in [0, 1], T_k(2B - I) has its spectrum in [-1, 1],
     # so |z.T_k z| / n <= z.z / n = 1
     worst = np.abs(samples).max()

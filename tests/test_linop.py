@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from specdet.linop import (DenseOperator, LinearOperator, MatrixMarketError,
                            NormalizedOperator, SparseOperator, gershgorin_upper_bound,
-                           identity, normalize, read_matrix_market, write_matrix_market)
+                           identity, normalize, read_matrix_market, row_blocks,
+                           write_matrix_market)
 
 
 def tridiag(n, diag=2.0, off=-1.0):
@@ -150,6 +151,19 @@ class TestSparseOperator:
                                      np.tril(A)[np.nonzero(np.tril(A))], 7)
         assert np.allclose(op.abs_row_sums(), np.abs(A).sum(axis=1))
 
+    @pytest.mark.parametrize("empty", [[0], [3], [6], range(7)],
+                             ids=["first-row", "middle-row", "last-row", "nnz-0"])
+    def test_abs_row_sums_with_empty_rows(self, empty):
+        # the per-row sums skip rows without entries, which a reduceat over
+        # the row starts would give the next row's first entry
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((7, 7))
+        A = A + A.T
+        A[list(empty), :] = A[:, list(empty)] = 0.0
+        op = SparseOperator(sp.tril(A, format="csr"))
+        expected = np.asarray(abs(sp.csr_matrix(A)).sum(axis=1)).ravel()
+        assert np.array_equal(op.abs_row_sums(), expected)
+
     @pytest.mark.parametrize("big", [1e308, np.finfo(float).max], ids=["1e308", "max"])
     def test_huge_finite_entries_kept(self, big):
         assert np.array_equal(SparseOperator.from_coo([0], [0], [big], 1).to_dense(), [[big]])
@@ -179,6 +193,18 @@ class TestSparseOperator:
         assert SparseOperator(sp.tril(np.eye(3))).n == 3
         with pytest.raises(ValueError, match=r"square and at least 1x1, got \(%d, %d\)" % shape):
             SparseOperator(sp.csr_matrix(shape))
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (300, None), (256, 30), (2000, 50),
+                                      (20_000, 4), (22_500, 10), (5, 40_000)])
+def test_row_blocks_cover_rows_in_order(n, width):
+    blocks = row_blocks(n, width)
+    rows = 32768 // (n if width is None else width)
+    assert [i for i, _ in blocks] == [0] + [e for _, e in blocks[:-1]]
+    assert blocks[-1][1] == n
+    assert all(0 < e - i <= max(1, rows) for i, e in blocks)
+    if width is None:
+        assert blocks == row_blocks(n, n)
 
 
 class TestDenseOperator:

@@ -1,11 +1,15 @@
 """Rademacher probes, moment recurrences, and basis conversions."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from specdet.linop import DenseOperator, identity, normalize
+from specdet.estimators import EstimatorConfig, logdet_chebyshev, logdet_taylor
+from specdet.linop import DenseOperator, SparseOperator, identity, normalize, row_blocks
 from specdet.maxent import _moment_penalty
-from specdet.probes import (CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
+from specdet.probes import (BASIS_KINDS, CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             SpectralMoments, estimate_moments, moments_to_power,
                             probe_matrix)
 from specdet.synth import KernelSpec, se_kernel
@@ -31,6 +35,32 @@ def column_vandermonde(basis, lam):
         else:
             F[:, i + 1] = ((2 * i + 1) * t * F[:, i] - i * F[:, i - 1]) / (i + 1)
     return F
+
+
+def fsum_chebyshev_samples(B, Z, m):
+    """Reference: the moment pass's doubled Chebyshev recurrence on whole
+    blocks, each column sum exact (math.fsum) instead of blocked."""
+    n, d = Z.shape
+    S = np.empty((d, m + 1))
+    S[:, 0] = 1.0
+
+    def col_sums(X, Y):
+        return np.array([math.fsum(col) for col in (X * Y).T]) / n
+
+    prev, cur = None, Z
+    for k in range(1, (m + 1) // 2 + 1):
+        nxt = B.inner.matmat(cur) / (B.lambda_u / (2.0 if k == 1 else 4.0))
+        if k == 1:
+            nxt -= cur
+            S[:, 1] = col_sums(Z, nxt)
+        else:
+            nxt -= 2.0 * cur
+            nxt -= prev
+            S[:, 2 * k - 1] = 2.0 * col_sums(cur, nxt) - S[:, 1]
+        if 2 * k <= m:
+            S[:, 2 * k] = 2.0 * col_sums(nxt, nxt) - 1.0
+        prev, cur = cur, nxt
+    return S
 
 
 def rolled_power_matrix(basis):
@@ -170,6 +200,33 @@ class TestEstimateMoments:
         mom = estimate_moments(B, MomentBasis(kind, 7), d=4, seed=0)
         assert np.array_equal(mom.values, np.ones(8))
         assert np.array_equal(mom.variance, np.zeros(8))
+
+    @pytest.mark.parametrize("c", [1.0, 49.0, 1e308])
+    def test_scaled_identity_all_ones_across_tiles(self, c):
+        # the pass walks 20,000 x 4 blocks in three row tiles, the last one
+        # short, and adds up the tiles' column sums
+        n, d = 20_000, 4
+        assert len(row_blocks(n, d)) == 3
+        op = SparseOperator(c * sp.identity(n, format="csr"))
+        B = normalize(op)
+        for kind in BASIS_KINDS:
+            mom = estimate_moments(B, MomentBasis(kind, 7), d=d, seed=0)
+            assert np.array_equal(mom.values, np.ones(8))
+            assert np.array_equal(mom.variance, np.zeros(8))
+        cfg = EstimatorConfig(m=7, d=d, seed=0)
+        for method in (logdet_taylor, logdet_chebyshev):
+            assert method(op, cfg).value == n * np.log(c)
+
+    def test_column_sums_near_exact_on_mass_matrix(self):
+        # the n=22,500 mass matrix of the sparse benchmark: each sample is
+        # within 1e-13 of the same recurrence whose column sums are exact;
+        # sums down whole columns were off by up to 2.2e-13
+        n, m, d = 22_500, 30, 10
+        M = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n)) / 6.0
+        B = normalize(SparseOperator(sp.tril(M, format="csr")))
+        mom = estimate_moments(B, MomentBasis(CHEBYSHEV, m), d=d, seed=0)
+        exact = fsum_chebyshev_samples(B, probe_matrix(n, d, 0), m)
+        assert np.abs(mom.samples - exact).max() <= 1e-13
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_product_layout_does_not_change_moments(self, layout):
