@@ -21,8 +21,7 @@ import scipy.linalg
 from . import maxent
 from .linop import LinearOperator, NormalizedOperator, NotPositiveDefiniteError, normalize
 from .maxent import SolverConfig, UniformPrior, fit_beta_prior
-from .probes import (BASIS_KINDS, CHEBYSHEV, MomentBasis, estimate_moments,
-                     moments_to_power, probe_matrix)
+from .probes import CHEBYSHEV, MomentBasis, estimate_moments, moments_to_power, probe_matrix
 
 PRIORS = ("uniform", "auto")
 _CHEB_FLOOR = 1e-6  # lower endpoint of the Chebyshev log-interpolation interval
@@ -49,8 +48,7 @@ class EstimatorConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.min_eigenvalue is not None and not np.isfinite(self.min_eigenvalue):
             raise ValueError(f"min_eigenvalue must be finite, got {self.min_eigenvalue}")
-        if self.basis not in BASIS_KINDS:
-            raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASIS_KINDS}")
+        MomentBasis(self.basis, self.m)  # refuses an unknown basis kind
         if self.prior not in PRIORS:
             raise ValueError(f"unknown prior choice {self.prior!r}; expected one of {PRIORS}")
 

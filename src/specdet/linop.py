@@ -110,10 +110,8 @@ class DenseOperator(LinearOperator):
 
     def __init__(self, matrix: np.ndarray, symmetric: bool = False):
         A = np.asarray(matrix, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {A.shape}")
-        if A.shape[0] < 1:
-            raise ValueError("matrix must be at least 1x1")
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+            raise ValueError(f"matrix must be square and at least 1x1, got shape {A.shape}")
         # row blocks stay in cache instead of allocating an n x n mask
         if not all(np.isfinite(A[i:e]).all() for i, e in row_blocks(A.shape[0])):
             raise ValueError("matrix contains non-finite entries")
@@ -183,17 +181,15 @@ class SparseOperator(LinearOperator):
 
     @classmethod
     def from_coo(cls, rows, cols, vals, n: int) -> "SparseOperator":
-        """Build from triplets of one triangle (row >= col after swap).
+        """Build from triplets of one triangle, folded to row >= col.
 
         n is given because triplets cannot show trailing empty rows.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
-        swap = cols > rows
-        r = np.where(swap, cols, rows)
-        c = np.where(swap, rows, cols)
-        lower = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
+        lower = sp.coo_matrix((vals, (np.maximum(rows, cols), np.minimum(rows, cols))),
+                              shape=(n, n)).tocsr()
         return cls(lower)
 
     @property
@@ -256,9 +252,11 @@ def gershgorin_upper_bound(op: LinearOperator) -> float:
     """Largest absolute row sum; upper-bounds lambda_max for symmetric op."""
     if not op.symmetric:
         raise ValueError("Gershgorin bound requires a symmetric operator")
-    sums = op.abs_row_sums()
+    # finite entries can still sum past the largest float; that is refused here
+    with np.errstate(over="ignore"):
+        sums = op.abs_row_sums()
     if not np.isfinite(sums).all():
-        raise ValueError("operator has non-finite entries")
+        raise ValueError("operator has a non-finite entry, or an absolute row sum overflows")
     return float(sums.max())
 
 
@@ -295,15 +293,13 @@ def read_matrix_market(path) -> SparseOperator:
         line, lineno = fh.readline(), 2
         while line and line.lstrip().startswith("%"):
             line, lineno = fh.readline(), lineno + 1
-        parts = line.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
+        # a wrong field count fails the unpacking, as a non-integer field fails int()
         try:
-            nrows, ncols, nnz = (int(p) for p in parts)
+            nrows, ncols, nnz = (int(p) for p in line.split())
+            if nnz < 0:
+                raise ValueError
         except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
-        if nnz < 0:
-            raise MatrixMarketError(f"malformed size line: {line.strip()!r}")
         if nrows != ncols:
             raise MatrixMarketError(f"matrix is not square: {nrows}x{ncols}")
 

@@ -42,7 +42,6 @@ solve, not the O(N m^2) of forming F^T diag(w) F directly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,7 @@ _EXP_LIMIT = 700.0  # exp overflow guard for float64
 _MAX_ITER = 500  # Newton iterations before the solve stops unconverged
 _PANELS = 30  # geometric Gauss-Legendre panels toward each end of (0, 1)
 _NODES_PER_PANEL = 16
+_PANEL_RULE = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)  # nodes, weights on [-1, 1]
 _RIDGE = 1.0  # multiplier on the per-moment squared-standard-error penalty
 _JITTER = 1e-8  # Newton-step jitter tried first
 _MAX_JITTER = 1e-2  # Newton-step jitter past which the solve gives up
@@ -178,12 +178,6 @@ def _reweight(q0: np.ndarray, T: np.ndarray, alpha: np.ndarray,
     return q0 * np.exp(-a)
 
 
-@functools.cache
-def _panel_rule():
-    """Gauss-Legendre nodes and weights on [-1, 1], made on first use."""
-    return np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-
-
 def quadrature_grid(floor: float):
     """Composite Gauss-Legendre nodes/weights on [min(floor, 1/2), 1 - _CEIL_GAP].
 
@@ -197,7 +191,7 @@ def quadrature_grid(floor: float):
     """
     if not _MIN_FLOOR <= floor <= 1.0:  # the negated form also rejects nan
         raise ValueError(f"floor must lie in [{_MIN_FLOOR:g}, 1], got {floor:.6g}")
-    x, w = _panel_rule()
+    x, w = _PANEL_RULE
     t = np.arange(_PANELS + 1) / _PANELS
     upper = 1.0 - 0.5 * (_CEIL_GAP / 0.5) ** t
     edges = upper if floor >= 0.5 else np.concatenate([floor * (0.5 / floor) ** t, upper[1:]])

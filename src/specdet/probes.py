@@ -29,9 +29,11 @@ the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
 For B = K / lambda_u each step multiplies by K itself and then walks the
 n x d product in the ~256 KB row tiles of `linop.row_blocks(n, d)`. Each
 tile, while it is in cache, gets a division by lambda_u / 4 (lambda_u / 2
-at the first step), one in-place BLAS daxpy adding -2 T_k Z, a
-subtraction of T_k-1 Z and the two column sums that the identities above
-read; the tiles' sums are added up once per pass. Scaling by 2 or 4
+at the first step), one in-place BLAS daxpy adding -2 T_k Z (the same
+daxpy adds -T_0 Z at the first step), a subtraction of T_k-1 Z from the
+second step on, and the two column sums that the identities above read.
+Every step takes both sums, so an odd m takes one that is not read; the
+tiles' sums are added up once per pass. Scaling by 2 or 4
 commutes with rounding, so this equals dividing by lambda_u and then
 doubling and subtracting twice, as the recurrence reads, bit for bit. It
 is a division, not a product with a reciprocal: fl(4 / c) c != 4 for
@@ -217,9 +219,8 @@ def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
     exact_quarter = lam / 4.0 >= np.finfo(float).tiny
     tiles = row_blocks(n, d)
     steps = (m + 1) // 2
-    # step k, tile t: the column sums of T_k-1 Z * T_k Z and of T_k Z * T_k Z;
-    # zeros, so that a sum that a step does not need adds finite values
-    sums = np.zeros((steps, 2, len(tiles), d))
+    # step k, tile t: the column sums of T_k-1 Z * T_k Z and of T_k Z * T_k Z
+    sums = np.empty((steps, 2, len(tiles), d))
     prev, cur = None, Z
     for k in range(1, steps + 1):
         # t = 2B - I: T_1 Z = 2BZ - Z and T_k+1 Z = 4B T_k Z - 2T_k Z - T_k-1 Z,
@@ -227,7 +228,6 @@ def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
         # the product's rows are contiguous, so a tile's flat view is what daxpy updates
         c = 2.0 if k == 1 else 4.0
         q = lam / c if exact_quarter else lam
-        even = 2 * k <= m  # moment 2k is wanted
         dots, squares = sums[k - 1]
         nxt = np.ascontiguousarray(B.inner.matmat(cur), dtype=float)
         for t, (i, e) in enumerate(tiles):
@@ -235,14 +235,12 @@ def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
             y /= q
             if not exact_quarter:
                 y *= c
-            if k == 1:
-                y -= x
-            else:
-                daxpy(x.reshape(-1), y.reshape(-1), a=-2.0)
+            # -1 x is exact, so the first step's daxpy equals y -= x
+            daxpy(x.reshape(-1), y.reshape(-1), a=-1.0 if k == 1 else -2.0)
+            if k > 1:
                 y -= prev[i:e]
             np.einsum("ij,ij->j", x, y, out=dots[t])
-            if even:
-                np.einsum("ij,ij->j", y, y, out=squares[t])
+            np.einsum("ij,ij->j", y, y, out=squares[t])
         prev, cur = cur, nxt
     # the tiles are added up once for all steps; column k-1 of dot and square
     # is step k, and the slices leave m = 0 with mu_0 alone

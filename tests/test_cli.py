@@ -6,6 +6,7 @@ import io
 import json
 import re
 import shlex
+import warnings
 import weakref
 from pathlib import Path
 
@@ -205,6 +206,17 @@ class TestEstimate:
         assert main(["estimate", "--mtx", str(path), "--method", "taylor", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(np.log(1e308))
 
+    def test_overflowing_gershgorin_bound_is_one_numerical_error(self, tmp_path, capsys):
+        # finite entries whose absolute row sums overflow; warnings print, as outside pytest
+        path = tmp_path / "big.mtx"
+        path.write_text(IDENTITY_HEADER + "2 2 3\n1 1 1.5e308\n2 1 1e308\n2 2 1.5e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["estimate", "--mtx", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert_one_error_line(captured, prefix="numerical failure: ")
+        assert "row sum overflows" in captured.err
+
 
 class TestMoments:
     def test_identity_power_moments(self, capsys):
@@ -302,8 +314,9 @@ class TestBench:
         ["--lengthscales", "0.5", "--se-kernel", "scale=inf"],
         ["--se-kernel", "q=3"],
         ["--lengthscales", "0.5", "--se-kernel", "seed=-1"],
+        ["--se-kernel", "n=20,l"],
     ], ids=["not-a-number", "negative", "nan", "n-zero", "dim-zero", "infinite-spread",
-            "unknown-key", "negative-seed"])
+            "unknown-key", "negative-seed", "item-without-value"])
     def test_bad_kernel_flag_is_parse_error_before_any_case(self, flags, monkeypatch, capsys):
         def no_case(*args):
             raise AssertionError("a case was built")

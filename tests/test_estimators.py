@@ -174,6 +174,11 @@ class TestMaxent:
         est = logdet_maxent(diag124(), EstimatorConfig(m=1, d=4))
         assert np.isfinite(est.value)
 
+    def test_auto_prior_falls_back_when_no_beta_fits(self):
+        # the exact Chebyshev moments of a point mass at 1/2 have no variance
+        moments = SpectralMoments(MomentBasis(CHEBYSHEV, 2), [[1.0, 0.0, -1.0]])
+        assert estimators._choose_prior(EstimatorConfig(m=2), moments) == maxent.UniformPrior()
+
     def test_prior_choice_validation(self):
         with pytest.raises(ValueError, match="unknown prior"):
             EstimatorConfig(prior="gamma")
@@ -291,6 +296,12 @@ class TestLanczos:
         # a Ritz value near -0.05 / lambda_u proves the matrix indefinite
         with pytest.raises(NotPositiveDefiniteError, match="Ritz value"):
             logdet_lanczos(five_negative_eigenvalues(), EstimatorConfig(seed=0))
+
+    def test_non_finite_products_refused(self):
+        op = CountingOperator(diag124())
+        op.matmat = lambda X: np.full(X.shape, np.nan)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            logdet_lanczos(op, EstimatorConfig(m=3, d=2))
 
     def test_round_off_band_is_clamped(self):
         # a Ritz value above -sqrt(eps) theta_max is round-off, not a proof

@@ -1,5 +1,6 @@
 """Operator backends, Gershgorin bound, and Matrix Market ingestion."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -267,6 +268,13 @@ class TestDenseOperator:
         with pytest.raises(NotImplementedError):
             LinearOperator().matmat(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)], ids=["non-square", "empty", "1d"])
+    def test_shape_must_be_square_and_non_empty(self, shape):
+        # one rule and one message, as for SparseOperator
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix must be square and at least 1x1, got shape {shape}")):
+            DenseOperator(np.zeros(shape))
+
 
 class TestNbytes:
     """Operators report the bytes of the matrix they store."""
@@ -333,6 +341,21 @@ class TestGershgorin:
         assert lam.max() <= 1.0 + 1e-12
         assert lam.min() > 0.0
 
+    def test_non_symmetric_refused(self):
+        with pytest.raises(ValueError, match="Gershgorin bound requires a symmetric operator"):
+            gershgorin_upper_bound(DenseOperator([[2.0, 0.1], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("make", [DenseOperator, lambda A: SparseOperator(sp.tril(A))],
+                             ids=["dense", "sparse"])
+    def test_overflowing_row_sum_refused_without_a_warning(self, make):
+        # every entry is finite; the absolute row sums are not
+        op = make(np.array([[1.5e308, 1e308], [1e308, 1.5e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite entry, or an absolute row sum "
+                                                 "overflows"):
+                gershgorin_upper_bound(op)
+
 
 class TestMatrixMarket:
     def write(self, tmp_path, text, name="m.mtx"):
@@ -365,6 +388,15 @@ class TestMatrixMarket:
         op = read_matrix_market(path)
         assert op.n == 3
         assert np.array_equal(op.to_dense(), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("declaration, message", [
+        ("array real symmetric", "unsupported format 'array'"),
+        ("coordinate integer symmetric", "unsupported field type 'integer'"),
+    ], ids=["array", "integer"])
+    def test_unsupported_declaration_rejected(self, tmp_path, declaration, message):
+        path = self.write(tmp_path, f"%%MatrixMarket matrix {declaration}\n2 2 1\n1 1 1\n")
+        with pytest.raises(MatrixMarketError, match=message):
+            read_matrix_market(path)
 
     def test_malformed_header(self, tmp_path):
         path = self.write(tmp_path, "%%NotMatrixMarket whatever\n2 2 0\n")
@@ -413,7 +445,11 @@ class TestMatrixMarket:
         ("2 2 1\n0 1 1.0\n", r"index out of range: \(0, 1\) for n=2"),
         ("2 2 1\n1 1\n", "malformed entry line"),
         ("2 2 1\n1 1 1.0 2.0\n", "malformed entry line"),
-    ], ids=["negative-count", "fractional-index", "zero-index", "two-fields", "four-fields"])
+        ("2 2\n", r"malformed size line: '2 2'"),
+        ("2 x 2\n", r"malformed size line: '2 x 2'"),
+        ("2 2 1 1\n", r"malformed size line: '2 2 1 1'"),
+    ], ids=["negative-count", "fractional-index", "zero-index", "two-fields", "four-fields",
+            "two-size-fields", "non-integer-size", "four-size-fields"])
     def test_malformed_lines_rejected(self, tmp_path, body, message):
         path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
         # outside the test suite a DeprecationWarning is ignored, not raised
@@ -439,6 +475,12 @@ class TestMatrixMarket:
         assert path.read_text() == (
             "%%MatrixMarket matrix coordinate real symmetric\n"
             "3 3 5\n1 1 4\n2 1 -1\n2 2 4\n3 2 0.10000000000000001\n3 3 2\n")
+
+    def test_non_symmetric_operator_not_written(self, tmp_path):
+        path = tmp_path / "n.mtx"
+        with pytest.raises(ValueError, match="only symmetric operators can be written"):
+            write_matrix_market(DenseOperator([[2.0, 0.1], [0.0, 2.0]]), path)
+        assert not path.exists()
 
     def test_sparse_explicit_zeros_are_not_written(self, tmp_path):
         # the operator keeps no explicit zero, on or off the diagonal

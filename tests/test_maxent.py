@@ -69,6 +69,15 @@ class TestFitBetaPrior:
         with pytest.raises(DegenerateSpectrumError):
             fit_beta_prior(0.5, 0.25)
 
+    @pytest.mark.parametrize("mu1, mu2, message", [
+        (0.0, 0.5, r"moments must lie in \(0, 1\)"),
+        (0.5, 0.6, r"mu2 must be smaller than mu1"),
+    ], ids=["mu1-zero", "mu2-above-mu1"])
+    def test_moments_no_beta_has_rejected(self, mu1, mu2, message):
+        with pytest.raises(ValueError, match=message) as info:
+            fit_beta_prior(mu1, mu2)
+        assert not isinstance(info.value, DegenerateSpectrumError)
+
 
 class TestQuadratureGrid:
     def test_weights_sum_to_interval_length(self):
@@ -405,6 +414,10 @@ class TestIntegrateLogExpectation:
         assert density(np.array([0.5]))[0] > 0.0
         with pytest.raises(OverflowError, match="overflow"):
             density(np.array([0.5, 0.8]))
+
+    def test_alpha_length_must_match_the_basis(self):
+        with pytest.raises(ValueError, match=r"alpha length must be order \+ 1"):
+            SurrogateDensity(UniformPrior(), MomentBasis(POWER, 3), np.zeros(3))
 
     def test_point_mass_fit_near_zero(self):
         basis = MomentBasis(POWER, 10)

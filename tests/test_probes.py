@@ -103,6 +103,10 @@ class TestRademacher:
         Z3 = probe_matrix(50, 3, seed=9)
         assert np.array_equal(Z5[:, :3], Z3)
 
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            probe_matrix(0, 3, 0)
+
     def test_golden_probes(self):
         # the probe definition, pinned: top bits of the 32-bit halves of raw
         # PCG64 words, low half first, +1 where the bit is set
@@ -265,6 +269,10 @@ class TestEstimateMoments:
         B = normalize(DenseOperator(np.diag([1.0, 2.0, 4.0])))
         mom = estimate_moments(B, MomentBasis(CHEBYSHEV, 1), d=6, seed=2)
         assert np.allclose(mom.values[1], 1.0 / 6.0, atol=1e-12)
+
+    def test_no_probes_refused(self):
+        with pytest.raises(ValueError, match="probe count d must be >= 1"):
+            estimate_moments(normalize(identity(3)), MomentBasis(CHEBYSHEV, 2), d=0, seed=0)
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(6)
