@@ -124,9 +124,8 @@ def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
         # the probed spectral mass at 1, where log is 0: no density to fit
         return 0.0, dict(iterations=0, grad_norm=0.0, converged=True)
     prior = _choose_prior(cfg, moments)
-    solver = cfg.solver
-    if cfg.min_eigenvalue is not None and cfg.min_eigenvalue > 0.0:
-        solver = replace(solver, floor=max(solver.floor, cfg.min_eigenvalue / B.lambda_u))
+    solver = replace(cfg.solver,
+                     floor=max(cfg.solver.floor, (cfg.min_eigenvalue or 0.0) / B.lambda_u))
     result = maxent.solve(moments, prior, solver)
     return result.log_expectation, dict(iterations=result.iterations,
                                         grad_norm=result.grad_norm, converged=result.converged)

@@ -244,14 +244,16 @@ class NormalizedOperator:
         self.n = inner.n
 
 
-def identity(n: int) -> DenseOperator:
-    return DenseOperator(np.eye(n), symmetric=True)
+def identity(n: int) -> SparseOperator:
+    """The n x n identity, stored sparse: n nonzeros, not an n x n array."""
+    return SparseOperator(sp.identity(n, format="csr"))
 
 
 def gershgorin_upper_bound(op: LinearOperator) -> float:
-    """Largest absolute row sum; upper-bounds lambda_max for symmetric op."""
-    if not op.symmetric:
-        raise ValueError("Gershgorin bound requires a symmetric operator")
+    """Largest absolute row sum, for any square op; it bounds |lambda| of every eigenvalue.
+
+    `normalize` refuses a non-symmetric op after computing it.
+    """
     # finite entries can still sum past the largest float; that is refused here
     with np.errstate(over="ignore"):
         sums = op.abs_row_sums()

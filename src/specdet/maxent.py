@@ -9,7 +9,10 @@ is found by minimizing the convex dual
 
     S(alpha) = int q0 exp(-[1 + sum alpha_i f_i]) dx + sum alpha_i mu_i
 
-with a damped Newton method. Each step is a Cholesky solve with the
+plus a ridge 0.5 sum p_i alpha_i^2, with a damped Newton method. The
+ridge is read from the `SpectralMoments` being fitted: p_i is _RIDGE
+times moment i's squared standard error over its probes, zero for a
+single row. Each step is a Cholesky solve with the
 Hessian plus diagonal jitter, the jitter growing tenfold from _JITTER
 while the factorization fails, and the exponential weights of each trial
 point of the line search are computed once and give the objective, the
@@ -200,20 +203,18 @@ def quadrature_grid(floor: float):
     return nodes.ravel(), (half * w).ravel()
 
 
-def _prior_grid(prior: PriorSpec, config: SolverConfig):
-    """The quadrature grid of config.floor, with weights w * q0 at its nodes."""
-    nodes, w = quadrature_grid(config.floor)
-    return nodes, w * prior.density(nodes)
+def _solve_grid(prior: PriorSpec, basis: MomentBasis, config: SolverConfig | None):
+    """(nodes, wq0, T, L) of the solve grid: the quadrature grid of the config's floor.
 
-
-def _chebyshev_form(basis: MomentBasis, nodes: np.ndarray):
-    """(T, L): T_k(2x - 1) at the nodes for k = 0..m, and L with F = T L^T.
-
-    L is the basis's `chebyshev_matrix`, or None for the Chebyshev basis,
+    wq0 is its weights times the prior density at its nodes, T holds
+    T_k(2x - 1) at the nodes for k = 0..m, and L is the basis's
+    `chebyshev_matrix`, with F = T L^T, or None for the Chebyshev basis,
     whose L is exactly the identity, so its products are skipped.
     """
+    nodes, w = quadrature_grid((config or SolverConfig()).floor)
     L = None if basis.kind == CHEBYSHEV else basis.chebyshev_matrix()
-    return MomentBasis(CHEBYSHEV, basis.order).vandermonde(nodes), L
+    return (nodes, w * prior.density(nodes),
+            MomentBasis(CHEBYSHEV, basis.order).vandermonde(nodes), L)
 
 
 def _log_expectation(nodes: np.ndarray, weights: np.ndarray) -> float:
@@ -222,13 +223,15 @@ def _log_expectation(nodes: np.ndarray, weights: np.ndarray) -> float:
 
 
 class DualProblem:
-    """Precomputed quadrature view of the dual objective for fixed inputs.
+    """Precomputed quadrature view of the dual objective for fixed moments.
 
-    `penalty` is an optional non-negative vector p adding 0.5 sum p_i a_i^2
-    to the objective. Weighting p by each moment's squared standard error
-    keeps the dual bounded when Monte Carlo noise pushes the constraint
-    vector outside the attainable moment cone: a coefficient only grows
-    large if the moment it matches is known accurately.
+    The basis, the targets mu and the ridge all come from `moments`. The
+    ridge p = _RIDGE * variance / probes, each moment's squared standard
+    error, adds 0.5 sum p_i a_i^2 to the objective; it is zero for a single
+    row, as for exact moments. It keeps the dual bounded when Monte Carlo
+    noise pushes the constraint vector outside the attainable moment cone:
+    a coefficient only grows large if the moment it matches is known
+    accurately.
 
     Each of `objective`, `gradient` and `hessian` takes the weights
     `weights(alpha)` as `we` when the caller already holds them. The
@@ -236,14 +239,12 @@ class DualProblem:
     docstring.
     """
 
-    def __init__(self, prior: PriorSpec, basis: MomentBasis, moments: np.ndarray,
-                 config: SolverConfig | None = None,
-                 penalty: np.ndarray | None = None):
-        self.mu = np.asarray(moments, dtype=float)
-        self.penalty = np.zeros_like(self.mu) if penalty is None else np.asarray(penalty, float)
-        self.nodes, self.wq0 = _prior_grid(prior, config or SolverConfig())
-        self.T, self.L = _chebyshev_form(basis, self.nodes)
-        i = np.arange(basis.order + 1)
+    def __init__(self, prior: PriorSpec, moments: SpectralMoments,
+                 config: SolverConfig | None = None):
+        self.mu = moments.values
+        self.penalty = _RIDGE * moments.variance / moments.probes
+        self.nodes, self.wq0, self.T, self.L = _solve_grid(prior, moments.basis, config)
+        i = np.arange(moments.basis.order + 1)
         self._i_plus_j, self._i_minus_j = np.add.outer(i, i), np.abs(np.subtract.outer(i, i))
 
     def weights(self, alpha: np.ndarray) -> np.ndarray:
@@ -284,11 +285,6 @@ class DualProblem:
             H = 0.5 * (H + H.T)  # a + b == b + a in floating point
         H.reshape(-1)[::len(H) + 1] += self.penalty  # the diagonal, as a view
         return H
-
-
-def _moment_penalty(moments: SpectralMoments) -> np.ndarray:
-    """Squared standard error of each moment estimate, times _RIDGE; zero for one probe."""
-    return _RIDGE * moments.variance / moments.probes
 
 
 def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -333,8 +329,7 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     config = config or SolverConfig()
     if abs(moments.values[0] - 1.0) > 1e-8:
         raise ValueError("mu_0 must equal 1 (normalized spectral measure)")
-    problem = DualProblem(prior, moments.basis, moments.values, config,
-                          penalty=_moment_penalty(moments))
+    problem = DualProblem(prior, moments, config)
     alpha = np.zeros(moments.basis.order + 1)
     we = problem.weights(alpha)
     S = problem.objective(alpha, we)
@@ -382,6 +377,5 @@ def integrate_log_expectation(q: SurrogateDensity,
     for the density and config of a solve this equals its
     `log_expectation` bit for bit in every basis.
     """
-    nodes, wq0 = _prior_grid(q.prior, config or SolverConfig())
-    T, L = _chebyshev_form(q.basis, nodes)
+    nodes, wq0, T, L = _solve_grid(q.prior, q.basis, config)
     return _log_expectation(nodes, _reweight(wq0, T, q.alpha, L))

@@ -139,7 +139,7 @@ def test_criterion_7_gradient_hessian_correctness():
         basis = MomentBasis(kind, 8)
         C = basis.to_power_matrix()
         mu = C @ (1.0 / (np.arange(9) + 1.0))
-        problem = DualProblem(UniformPrior(), basis, mu)
+        problem = DualProblem(UniformPrior(), SpectralMoments(basis, mu[None]))
         for _ in range(100):
             alpha = 0.3 * rng.standard_normal(9)
             g = problem.gradient(alpha)

@@ -87,6 +87,18 @@ class TestEstimate:
         out = strict_json(capsys.readouterr().out)
         assert out["value"] == 0.0 and out["converged"]
 
+    def test_large_identity_is_estimated(self, capsys):
+        # --identity is stored sparse: as an n x n array it would take 320 GB
+        code = main(["estimate", "--identity", "200000", "--method", "taylor",
+                     "-m", "4", "-d", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("logdet[taylor] = 0 ")
+
+    @pytest.mark.parametrize("method", ["maxent", "chebyshev", "lanczos"])
+    def test_identity_is_exactly_zero(self, method, capsys):
+        assert main(["estimate", "--identity", "50", "--method", method, "--json"]) == 0
+        assert strict_json(capsys.readouterr().out)["value"] == 0.0
+
     def test_exact_method_diag(self, tmp_path, capsys):
         code = main(["estimate", "--mtx", write_diag124(tmp_path),
                      "--method", "exact", "--json"])

@@ -144,6 +144,18 @@ class TestMaxent:
         lam_u = gershgorin_upper_bound(op)
         assert logdet_maxent(op, EstimatorConfig(min_eigenvalue=lam_u)).value == est.value
 
+    def test_min_eigenvalue_without_a_floor_is_the_default(self):
+        # None, 0, a negative value and one whose floor is below 1e-14 all
+        # leave the solver's default floor, bit for bit
+        op = se_kernel(KernelSpec(n=128, lengthscale=0.65, noise=1e-8, seed=2))
+        default = logdet_maxent(op, EstimatorConfig(m=10, d=8, seed=1))
+        for min_eig in (None, 0.0, -1.0, 1e-20):
+            est = logdet_maxent(op, EstimatorConfig(m=10, d=8, seed=1, min_eigenvalue=min_eig))
+            assert (est.value, est.iterations) == (default.value, default.iterations)
+        # the kernel's noise is a floor above 1e-14, and it moves the estimate
+        floored = logdet_maxent(op, EstimatorConfig(m=10, d=8, seed=1, min_eigenvalue=1e-8))
+        assert floored.value != default.value
+
     def test_min_eigenvalue_above_lambda_u_is_refused(self):
         with pytest.raises(ValueError, match="a min_eigenvalue above lambda_u"):
             logdet_maxent(tridiagonal_floor_case(), EstimatorConfig(min_eigenvalue=1.2))

@@ -31,6 +31,13 @@ class TestMatvec:
     def test_identity(self):
         assert np.array_equal(identity(3).matmat(col(1.0, 2.0, 3.0)), col(1.0, 2.0, 3.0))
 
+    def test_identity_is_stored_sparse(self):
+        # n values and indices, not the 8 TB of an n x n array: 16 MB with
+        # scipy's 4-byte indices, 24 MB with 8-byte ones
+        op = identity(10**6)
+        assert isinstance(op, SparseOperator) and op.symmetric
+        assert op.nbytes <= 24 * (10**6 + 1)
+
     def test_diagonal(self):
         op = DenseOperator(np.diag([1.0, 2.0, 4.0]))
         assert np.array_equal(op.matmat(col(1.0, 1.0, 1.0)), col(1.0, 2.0, 4.0))
@@ -41,7 +48,7 @@ class TestMatvec:
 
     def test_dimension_mismatch(self):
         sparse = SparseOperator.from_coo([0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0], 3)
-        for op in (identity(3), sparse):
+        for op in (DenseOperator(np.eye(3)), sparse):
             with pytest.raises(ValueError):
                 op.matmat(col(1.0, 2.0))
 
@@ -341,9 +348,13 @@ class TestGershgorin:
         assert lam.max() <= 1.0 + 1e-12
         assert lam.min() > 0.0
 
-    def test_non_symmetric_refused(self):
-        with pytest.raises(ValueError, match="Gershgorin bound requires a symmetric operator"):
-            gershgorin_upper_bound(DenseOperator([[2.0, 0.1], [0.0, 2.0]]))
+    def test_non_symmetric_bound_is_the_row_sum_and_normalize_refuses(self):
+        # Gershgorin's discs bound the eigenvalues of any square matrix; the
+        # refusal of a non-symmetric one is NormalizedOperator's
+        op = DenseOperator([[2.0, 0.1], [0.0, 2.0]])
+        assert gershgorin_upper_bound(op) == 2.1
+        with pytest.raises(ValueError, match="symmetric"):
+            normalize(op)
 
     @pytest.mark.parametrize("make", [DenseOperator, lambda A: SparseOperator(sp.tril(A))],
                              ids=["dense", "sparse"])

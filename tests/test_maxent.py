@@ -7,7 +7,7 @@ from scipy.special import digamma
 
 from specdet.maxent import (BetaPrior, DegenerateSpectrumError, DualProblem,
                             SolverConfig, SurrogateDensity, UniformPrior,
-                            _moment_penalty, _newton_step, _prior_grid, _reweight,
+                            _newton_step, _reweight, _solve_grid,
                             fit_beta_prior, integrate_log_expectation, quadrature_grid,
                             solve)
 from specdet.probes import CHEBYSHEV, LEGENDRE, POWER, MomentBasis, SpectralMoments
@@ -32,6 +32,12 @@ def uniform_moments(basis):
 
 def exact_moments(basis, values):
     return SpectralMoments(basis, values[None])
+
+
+def ridged_moments(basis, values, ridge):
+    """Two probe rows values +- sqrt(ridge): mean values, variance / probes ridge."""
+    spread = np.sqrt(ridge)
+    return SpectralMoments(basis, np.array([values + spread, values - spread]))
 
 
 class TestPriors:
@@ -104,12 +110,14 @@ class TestQuadratureGrid:
             assert len(nodes) == 480 and (w > 0.0).all()
             assert np.array_equal(nodes, full_nodes[-480:])
             assert np.array_equal(w, full_w[-480:])
-            _, wq0 = _prior_grid(UniformPrior(), SolverConfig(floor=floor))
+            _, wq0, _, _ = _solve_grid(UniformPrior(), MomentBasis(CHEBYSHEV, 2),
+                                       SolverConfig(floor=floor))
             assert np.array_equal(wq0, w * UniformPrior().density(nodes))
 
     def test_floor_below_half_is_the_grid_floor(self):
         for floor in (1e-14, 1e-3, 0.25, 0.4999):
-            nodes, w = _prior_grid(BetaPrior(2.0, 5.0), SolverConfig(floor=floor))
+            nodes, _, _, _ = _solve_grid(BetaPrior(2.0, 5.0), MomentBasis(CHEBYSHEV, 2),
+                                         SolverConfig(floor=floor))
             assert np.array_equal(nodes, quadrature_grid(floor)[0])
 
 
@@ -117,7 +125,7 @@ class TestDualObjective:
     def test_zero_alpha_flat_prior(self):
         basis = MomentBasis(POWER, 3)
         mom = exact_moments(basis, uniform_moments(basis))
-        S = DualProblem(UniformPrior(), basis, mom.values).objective(np.zeros(4))
+        S = DualProblem(UniformPrior(), mom).objective(np.zeros(4))
         assert S == pytest.approx(INV_E, abs=1e-8)
 
     def test_minus_one_alpha0_closed_form(self):
@@ -125,13 +133,13 @@ class TestDualObjective:
         basis = MomentBasis(POWER, 2)
         mom = exact_moments(basis, uniform_moments(basis))
         alpha = np.array([-1.0, 0.0, 0.0])
-        problem = DualProblem(UniformPrior(), basis, mom.values)
+        problem = DualProblem(UniformPrior(), mom)
         assert problem.objective(alpha) == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_alpha_beta_prior(self):
         basis = MomentBasis(POWER, 2)
         mom = exact_moments(basis, beta25_power_moments(2))
-        S = DualProblem(BetaPrior(2.0, 5.0), basis, mom.values).objective(np.zeros(3))
+        S = DualProblem(BetaPrior(2.0, 5.0), mom).objective(np.zeros(3))
         assert S == pytest.approx(INV_E, abs=1e-7)
 
 
@@ -140,14 +148,14 @@ class TestDualGradient:
         basis = MomentBasis(POWER, 4)
         mu = beta25_power_moments(4)
         mom = exact_moments(basis, mu)
-        g = DualProblem(UniformPrior(), basis, mom.values).gradient(np.zeros(5))
+        g = DualProblem(UniformPrior(), mom).gradient(np.zeros(5))
         expected = mu - INV_E / (np.arange(5) + 1.0)
         assert np.allclose(g, expected, atol=1e-8)
 
     def test_finite_difference(self):
         basis = MomentBasis(CHEBYSHEV, 5)
         mom = exact_moments(basis, uniform_moments(basis))
-        problem = DualProblem(UniformPrior(), basis, mom.values)
+        problem = DualProblem(UniformPrior(), mom)
         rng = np.random.default_rng(0)
         alpha = 0.3 * rng.standard_normal(6)
         g = problem.gradient(alpha)
@@ -163,7 +171,7 @@ class TestDualGradient:
         mom = exact_moments(basis, beta25_power_moments(6))
         config = SolverConfig()
         result = solve(mom, UniformPrior(), config)
-        problem = DualProblem(UniformPrior(), basis, mom.values, config)
+        problem = DualProblem(UniformPrior(), mom, config)
         fitted = basis.vandermonde(problem.nodes).T @ problem.weights(result.density.alpha)
         assert np.abs(fitted - mom.values).max() <= 10.0 * config.gtol
 
@@ -176,9 +184,8 @@ class TestDualGradient:
         mom = SpectralMoments(basis, uniform_moments(basis) + signs * spread)
         assert np.allclose(mom.variance, [0.0, 0.1, 0.4])
         alpha = np.array([0.2, -0.3, 0.5])
-        plain = DualProblem(UniformPrior(), basis, mom.values).gradient(alpha)
-        g = DualProblem(UniformPrior(), basis, mom.values,
-                        penalty=_moment_penalty(mom)).gradient(alpha)
+        plain = DualProblem(UniformPrior(), exact_moments(basis, mom.values)).gradient(alpha)
+        g = DualProblem(UniformPrior(), mom).gradient(alpha)
         penalty = np.array([0.0, 0.1, 0.4]) / 10.0  # variance / probes
         assert np.allclose(g - plain, penalty * alpha)
 
@@ -187,8 +194,8 @@ class TestDualWeights:
     @pytest.mark.parametrize("kind, m", [(CHEBYSHEV, 8), (POWER, 4)])
     def test_given_weights_match_alpha_only_calls(self, kind, m):
         basis = MomentBasis(kind, m)
-        problem = DualProblem(UniformPrior(), basis, uniform_moments(basis),
-                              penalty=np.linspace(0.0, 1e-3, m + 1))
+        problem = DualProblem(UniformPrior(), ridged_moments(basis, uniform_moments(basis),
+                                                             np.linspace(0.0, 1e-3, m + 1)))
         alpha = 0.3 * np.random.default_rng(2).standard_normal(m + 1)
         we = problem.weights(alpha)
         assert problem.objective(alpha, we) == problem.objective(alpha)
@@ -200,21 +207,21 @@ class TestDualHessian:
     def test_scaled_hilbert_at_zero(self):
         basis = MomentBasis(POWER, 3)
         mom = exact_moments(basis, uniform_moments(basis))
-        H = DualProblem(UniformPrior(), basis, mom.values).hessian(np.zeros(4))
+        H = DualProblem(UniformPrior(), mom).hessian(np.zeros(4))
         j, k = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
         assert np.allclose(H, INV_E / (j + k + 1.0), atol=1e-8)
 
     def test_symmetry(self):
         basis = MomentBasis(CHEBYSHEV, 4)
         mom = exact_moments(basis, uniform_moments(basis))
-        H = DualProblem(UniformPrior(), basis, mom.values).hessian(0.1 * np.arange(5))
+        H = DualProblem(UniformPrior(), mom).hessian(0.1 * np.arange(5))
         # integrand is symmetric in (j, k); only summation round-off remains
         assert np.abs(H - H.T).max() <= 1e-15
 
     def test_finite_difference_against_gradient(self):
         basis = MomentBasis(POWER, 4)
         mom = exact_moments(basis, uniform_moments(basis))
-        problem = DualProblem(UniformPrior(), basis, mom.values)
+        problem = DualProblem(UniformPrior(), mom)
         rng = np.random.default_rng(1)
         alpha = 0.2 * rng.standard_normal(5)
         H = problem.hessian(alpha)
@@ -232,8 +239,8 @@ class TestGramMoments:
     @staticmethod
     def problem_and_alphas(kind, m):
         basis = MomentBasis(kind, m)
-        problem = DualProblem(UniformPrior(), basis, uniform_moments(basis),
-                              penalty=np.linspace(0.0, 1e-3, m + 1))
+        problem = DualProblem(UniformPrior(), ridged_moments(basis, uniform_moments(basis),
+                                                             np.linspace(0.0, 1e-3, m + 1)))
         rng = np.random.default_rng(m)
         heavy = np.zeros(m + 1)
         heavy[0] = -10.0  # total mass e^9 ~ 8100
@@ -295,7 +302,7 @@ class TestSolve:
         assert np.abs(result.density.alpha[1:]).max() <= 1e-6
         # flat on the solve grid, the only place the fitted density is read:
         # q - q0 there is the difference of the quadrature weights over w
-        problem = DualProblem(UniformPrior(), basis, mom.values)
+        problem = DualProblem(UniformPrior(), mom)
         _, w = quadrature_grid(SolverConfig().floor)
         assert np.abs((problem.weights(result.density.alpha) - problem.wq0) / w).max() <= 1e-4
 

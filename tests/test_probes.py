@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from specdet.estimators import EstimatorConfig, logdet_chebyshev, logdet_taylor
 from specdet.linop import DenseOperator, SparseOperator, identity, normalize, row_blocks
-from specdet.maxent import _moment_penalty
+from specdet.maxent import DualProblem, UniformPrior
 from specdet.probes import (BASIS_KINDS, CHEBYSHEV, LEGENDRE, POWER, MomentBasis,
                             SpectralMoments, estimate_moments, moments_to_power,
                             probe_matrix)
@@ -332,7 +332,7 @@ class TestSpectralMoments:
         assert mom.probes == 1
         assert np.array_equal(mom.values, row)
         assert np.array_equal(mom.variance, np.zeros(4))
-        assert np.array_equal(_moment_penalty(mom), np.zeros(4))
+        assert np.array_equal(DualProblem(UniformPrior(), mom).penalty, np.zeros(4))
 
 
 class TestMomentsToPower:
