@@ -218,24 +218,36 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
     """z'log(B)z / z'z for each column z of Z by m-step Lanczos quadrature.
 
     All columns run the three-term recurrence together, one product with
-    K = `B.inner` per step, which is then divided by lambda_u. The division
+    K = `B.inner` per step, which is then scaled to B: multiplied by
+    1 / lambda_u where that reciprocal is a normal float, divided by
+    lambda_u where it is subnormal or infinite (lambda_u subnormal or above
+    ~4.5e307) and would lose digits. The product's second rounding moves
+    an estimate by round-off only; the moment pass divides instead, because
+    there a scaled identity c I must give moments of exactly 1. The scaling
     stays on every product rather than being folded into the Jacobi matrix
     at the end: the norms of unscaled Lanczos vectors of K square its
     scale, and overflow or underflow when K's entries are near 1e160 or
-    1e-160. Simon's recurrence tracks each column's loss of orthogonality
-    from its alphas and betas alone. A column is reorthogonalized against its own
-    basis, in one pass, when an estimate passes sqrt(eps), again on the step
-    after (Simon's pair rule), and whenever its beta is below sqrt(eps). Only
-    those columns are projected, one at a time, so a step costs O(j n) per
-    column that needs it, not per column of the block. A
+    1e-160. Each new vector is normalized by multiplying with 1 / beta.
+
+    Simon's recurrence tracks each column's loss of orthogonality from its
+    alphas and betas alone. A column is reorthogonalized against its own
+    basis, in one pass, when an estimate passes sqrt(eps), again on the
+    step after (Simon's pair rule), and whenever its beta is below
+    sqrt(eps). Only those columns are projected, one at a time, so a step
+    costs O(j n) per column that needs it, not per column of the block. A
     column whose beta then falls below 1e-12 has reached an invariant
     subspace: it stops there, which is exact, and its later vectors are
     zero. The loop ends once every column has stopped. A Ritz value below
     -sqrt(eps) theta_max raises NotPositiveDefiniteError.
     """
     n, b = Z.shape
-    Q = np.zeros((b, m, n))  # Q[i, j] is the j-th Lanczos vector of column i
+    # Q[i, j] is the j-th Lanczos vector of column i; each step writes row j + 1
+    # of every column before any step reads it
+    Q = np.empty((b, m, n))
     Q[:, 0] = Z.T / np.linalg.norm(Z, axis=0)[:, None]
+    inverse = 1.0 / B.lambda_u
+    scale, by = ((np.multiply, inverse) if np.finfo(float).tiny <= inverse < np.inf
+                 else (np.divide, B.lambda_u))
     alphas = np.zeros((b, m))
     betas = np.zeros((b, max(m - 1, 0)))
     steps = np.full(b, m)
@@ -251,7 +263,7 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
         # q.T is not C-contiguous, so a dense product comes back column-major
         # and its transpose is already the rows W needs: no copy is made
         W = np.ascontiguousarray(B.inner.matmat(q.T).T)
-        W /= B.lambda_u
+        scale(W, by, out=W)
         alphas[:, j] = np.matmul(W[:, None, :], q[:, :, None])[:, 0, 0]
         if j == m - 1:
             break
@@ -283,13 +295,16 @@ def _lanczos_log_quadrature(B: NormalizedOperator, Z: np.ndarray, m: int) -> np.
             beta[redo] = np.linalg.norm(W[redo], axis=1)
             omega[redo, : j + 1] = noise
         stopped = active & (beta < 1e-12)
-        steps[stopped] = j + 1
-        active &= ~stopped
-        if not active.any():
-            break
-        betas[active, j] = beta[active]
-        np.divide(W, np.where(active, beta, 1.0)[:, None], out=Q[:, j + 1])
-        Q[~active, j + 1] = 0.0
+        if stopped.any():
+            steps[stopped] = j + 1
+            active &= ~stopped
+            if not active.any():
+                break
+            # a stopped column's vectors are zero from here on, and so are its
+            # products and its three-term updates
+            W[stopped] = 0.0
+        betas[:, j] = np.where(active, beta, 0.0)
+        np.multiply(W, (1.0 / np.where(active, beta, 1.0))[:, None], out=Q[:, j + 1])
     if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
         raise ValueError("Lanczos coefficients must not contain infs or NaNs")
     out = np.empty(b)

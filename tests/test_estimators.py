@@ -351,6 +351,19 @@ def test_subnormal_quarter_scale_identity_exact(c):
         assert method(op, cfg).value == 20 * np.log(B.lambda_u)
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e300, 5e-320, 1.7e308],
+                         ids=["1e-300", "1e300", "5e-320", "1.7e308"])
+def test_lanczos_scaled_identity_exact(c):
+    # 1 / lambda_u is a normal float at 1e-300 and 1e300, so each product is
+    # multiplied by it; at 5e-320 it is inf and at 1.7e308 subnormal, so each
+    # is divided. With n = 16 the probes' entries are +-1/4, and c I times
+    # them is exact even where c is subnormal
+    op = DenseOperator(c * np.eye(16), symmetric=True)
+    B = normalize(op)
+    assert (np.finfo(float).tiny <= 1.0 / B.lambda_u < np.inf) == (c in (1e-300, 1e300))
+    assert logdet_lanczos(op, EstimatorConfig(m=6, d=4, seed=0)).value == 16 * np.log(B.lambda_u)
+
+
 class TestIndefiniteMoments:
     """A Chebyshev moment sample past 1 in magnitude proves an eigenvalue below 0."""
 
@@ -382,17 +395,48 @@ class TestBatchedLanczos:
         blocks = 1 if width is None else math.ceil(d / width)
         assert op.matmats == min(m, n) * blocks
 
-    def test_columns_break_down_at_their_krylov_dimension(self):
+    @staticmethod
+    def breakdown_case():
         lam = np.array([0.1, 0.2, 0.35, 0.5, 0.7, 1.0])
         Z = np.zeros((6, 3))
         Z[2, 0] = 1.0                    # Krylov dimension 1
         Z[[0, 4], 1] = [1.0, -2.0]       # 2
         Z[[0, 1, 3, 5], 2] = [1.0, 0.5, -1.0, 2.0]  # 4
+        return lam, Z
+
+    def test_columns_break_down_at_their_krylov_dimension(self):
+        lam, Z = self.breakdown_case()
         op = CountingOperator(DenseOperator(np.diag(lam)))
         got = estimators._lanczos_log_quadrature(NormalizedOperator(op, 1.0), Z, 6)
         want = (Z ** 2).T @ np.log(lam) / (Z ** 2).sum(axis=0)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         assert op.matmats == 4  # the loop ends once the last column stops
+
+    def test_no_unwritten_basis_row_is_read(self, monkeypatch):
+        # the basis is allocated unfilled: with every new float array NaN,
+        # a row read before it is written would turn a value into NaN
+        lam, Z = self.breakdown_case()
+        cases = [(NormalizedOperator(DenseOperator(np.diag(lam)), 1.0), Z, 6),
+                 (normalize(se_kernel(KernelSpec(n=256, lengthscale=0.45, seed=1))),
+                  probe_matrix(256, 8, seed=1), 30)]
+        want = [estimators._lanczos_log_quadrature(*case) for case in cases]
+        empty, made = np.empty, []
+
+        def nan_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        for case, values in zip(cases, want):
+            assert np.array_equal(estimators._lanczos_log_quadrature(*case), values)
+        # the breakdown case's basis: the columns stop after steps 1, 2 and 4,
+        # and a stopped column's later vectors are zero up to the last step
+        Q = next(a for a in made if a.shape == (3, 6, 6))
+        assert not np.isnan(Q[:, :4]).any() and np.isnan(Q[:, 4:]).all()
+        assert not Q[0, 1:4].any() and not Q[1, 2:4].any()
 
     def test_per_probe_values_do_not_depend_on_block_width(self):
         B = normalize(random_spd(60, 5, lo=0.01))

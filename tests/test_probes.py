@@ -373,6 +373,16 @@ class TestMomentsToPower:
         mom = estimate_moments(normalize(identity(7)), MomentBasis(kind, m), d=4, seed=0)
         assert np.array_equal(moments_to_power(mom).samples, np.ones((4, m + 1)))
 
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_identity_rows_read_by_the_prior_exactly_one_at_high_order(self, kind):
+        # p_1 and p_2 are the only rows the Beta prior fit reads; the higher
+        # rows carry round-off at m = 30 (up to ~1e-8 from Legendre moments)
+        mom = estimate_moments(normalize(identity(7)), MomentBasis(kind, 30), d=4, seed=0)
+        p = moments_to_power(mom)
+        assert np.array_equal(p.samples[:, :3], np.ones((4, 3)))
+        assert np.array_equal(p.values[:3], np.ones(3))
+        assert np.abs(p.samples - 1.0).max() <= 1e-7
+
     def test_power_basis_is_identity(self):
         B = normalize(identity(4))
         mom = estimate_moments(B, MomentBasis(POWER, 3), d=2, seed=0)
