@@ -66,15 +66,10 @@ class KernelSpec:
             raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
 
 
-def se_kernel(spec: KernelSpec, points: np.ndarray | None = None) -> DenseOperator:
-    """Dense SE kernel operator; pass `points` to pin input locations."""
-    if points is None:
-        rng = np.random.default_rng(spec.seed)
-        points = spec.input_scale * rng.standard_normal((spec.n, spec.dim))
-    else:
-        points = np.asarray(points, dtype=float)
-        if points.shape != (spec.n, spec.dim):
-            raise ValueError(f"points must have shape {(spec.n, spec.dim)}")
+def se_kernel(spec: KernelSpec) -> DenseOperator:
+    """Dense SE kernel operator over n Gaussian inputs drawn from `spec.seed`."""
+    rng = np.random.default_rng(spec.seed)
+    points = spec.input_scale * rng.standard_normal((spec.n, spec.dim))
     n = spec.n
     sq = np.einsum("ij,ij->i", points, points)
     # the operands of `2.0 * points @ points.T`; points times their own

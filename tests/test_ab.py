@@ -1,23 +1,21 @@
 """The paired A/B timer in tools/: two trees' estimates, interleaved, compared."""
 
-import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 import specdet
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("ab", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def tool(load_module):
+    return load_module("ab", TOOL)
 
 
-def test_repo_against_itself_on_two_tiny_cells(monkeypatch):
-    tool = load_tool()
+def test_repo_against_itself_on_two_tiny_cells(tool, monkeypatch):
     # the tool registers the modules it loads; teardown removes the entries
     for tag in "ab":
         for name in (f"specdet_{tag}", f"perfbench_workloads_{tag}"):
@@ -43,15 +41,38 @@ def test_repo_against_itself_on_two_tiny_cells(monkeypatch):
         want = specdet.estimate_logdet(
             specdet.se_kernel(specdet.KernelSpec(n=40, lengthscale=0.45, seed=3)),
             "lanczos" if method == "slq" else method, specdet.EstimatorConfig(m=6, d=3, seed=2))
-        assert a[0] == want.value
+        assert a[0] == ("l=0.45", want.value)
     lines = tool.summary(times, values)
     assert len(lines) == 1 + len(workloads.ALL)
     assert all(line.endswith("  equal") and "/3" in line for line in lines[1:])
 
 
-def test_summary_names_the_largest_relative_gap():
-    tool = load_tool()
+def test_summary_names_the_largest_relative_gap(tool):
     times = {"slq": [[2.0, 1.0], [2.0, 3.0], [2.0, 1.5]]}
-    values = {"slq": ([1.0, 4.0], [1.0 + 1e-12, 4.0 + 4e-10])}
+    values = {"slq": ([("l=0.45 kseed=3", 1.0), ("mass", 4.0), ("l=0.85 kseed=9", 2.0)],
+                      [("l=0.45 kseed=3", 1.0 + 1e-12), ("mass", 4.0 + 4e-10),
+                       ("l=0.85 kseed=9", 2.0)])}
     (line,) = tool.summary(times, values)[1:]
-    assert line.split() == ["slq", "2000.00", "-25.00%", "2/3", "max", "rel", "gap", "1e-10"]
+    assert line.split() == ["slq", "2000.00", "-25.00%", "2/3", "2/3", "differ,", "max", "rel",
+                            "gap", "1e-10", "at", "mass"]
+
+
+def test_refuses_fewer_than_one_round(tool, capsys):
+    # refused before either tree is loaded or any cell is built
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--a", str(tool.ROOT), "--b", str(tool.ROOT), "--workload", "small-se",
+                   "--rounds", "0"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        ": error: --rounds must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("side", ["--a", "--b"])
+def test_refuses_a_tree_without_sources(tool, side, tmp_path, capsys):
+    (tmp_path / "src" / "specdet").mkdir(parents=True)
+    trees = {"--a": str(tool.ROOT), "--b": str(tool.ROOT), side: str(tmp_path)}
+    with pytest.raises(SystemExit) as exit_:
+        tool.main([*(x for pair in trees.items() for x in pair), "--workload", "small-se"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f": error: {side}: the specdet sources are not under {tmp_path / 'src'}")

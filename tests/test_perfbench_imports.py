@@ -2,8 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +35,10 @@ def resolves(module: str, name: str) -> bool:
     return True
 
 
-def load_perfbench(name: str, monkeypatch):
-    """perfbench/<name>.py as a module, loaded by path without touching sys.path.
-
-    It is listed in sys.modules for the test only; dataclasses look their
-    module up there.
-    """
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def load_perfbench(load_module):
+    """perfbench/<name>.py as the module perfbench_<name>, for the test only."""
+    return lambda name: load_module(f"perfbench_{name}", PERFBENCH / f"{name}.py")
 
 
 def test_perfbench_imports_resolve():
@@ -58,7 +49,7 @@ def test_perfbench_imports_resolve():
     assert missing == []
 
 
-def benchmark_case(case: str, monkeypatch):
+def benchmark_case(case: str, load_perfbench):
     """(operator, config) of a case shaped like the benchmark's cells."""
     if case == "small-se-kernel":
         op = se_kernel(KernelSpec(n=256, dim=6, lengthscale=0.65, noise=1e-8, seed=3))
@@ -66,15 +57,15 @@ def benchmark_case(case: str, monkeypatch):
     if case == "diag-no-hint":
         # exact atomic-spectrum moments on the moment-cone boundary: no convergence
         return DenseOperator(np.diag([1.0, 2.0, 4.0])), EstimatorConfig(m=10, d=4, seed=0)
-    op = load_perfbench("workloads", monkeypatch).laplacian_2d(30)
+    op = load_perfbench("workloads").laplacian_2d(30)
     return op, EstimatorConfig(m=30, d=10, seed=0)
 
 
 @pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian", "diag-no-hint"])
-def test_maxent_replay_is_bit_identical(case, monkeypatch):
+def test_maxent_replay_is_bit_identical(case, load_perfbench):
     # every benchmark run fails unless spans.maxent_replay equals logdet_maxent
-    spans = load_perfbench("spans", monkeypatch)
-    op, cfg = benchmark_case(case, monkeypatch)
+    spans = load_perfbench("spans")
+    op, cfg = benchmark_case(case, load_perfbench)
     tracer = spans.Tracer()
     traced = spans.TracedOperator(op, tracer)
     value, _, result = spans.maxent_replay(traced, cfg, tracer)
@@ -83,21 +74,21 @@ def test_maxent_replay_is_bit_identical(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["small-se-kernel", "grid-laplacian"])
-def test_traced_lanczos_is_bit_identical(case, monkeypatch):
+def test_traced_lanczos_is_bit_identical(case, load_perfbench):
     # every traced benchmark run fails unless SLQ through the wrapper equals
     # SLQ without it; the kernel case reorthogonalizes 360 of 870 column-steps
-    spans = load_perfbench("spans", monkeypatch)
-    op, cfg = benchmark_case(case, monkeypatch)
+    spans = load_perfbench("spans")
+    op, cfg = benchmark_case(case, load_perfbench)
     tracer = spans.Tracer()
     assert logdet_lanczos(spans.TracedOperator(op, tracer), cfg).value == \
         logdet_lanczos(op, cfg).value
     assert len(tracer.by_name()["linop.matmat"][0]) == cfg.m  # one block of m steps
 
 
-def test_layer_metrics_read_the_replayed_moments(monkeypatch):
+def test_layer_metrics_read_the_replayed_moments(load_perfbench):
     # the moment standard error perfbench reports reads the moments' variance
     # and probe count, which no other test reaches through perfbench
-    spans = load_perfbench("spans", monkeypatch)
+    spans = load_perfbench("spans")
     op = se_kernel(KernelSpec(n=128, dim=6, lengthscale=0.65, noise=1e-8, seed=2))
     tracer = spans.Tracer()
     _, moments, result = spans.maxent_replay(spans.TracedOperator(op, tracer),

@@ -1,10 +1,11 @@
 """The line tracer in tools/: which statements it reports as never run."""
 
-import importlib.util
 import inspect
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from specdet import linop
 
@@ -32,28 +33,25 @@ class A:
 '''
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("uncovered", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def tool(load_module):
+    return load_module("uncovered", TOOL)
 
 
-def test_reports_statements_none_of_whose_lines_ran():
+def test_reports_statements_none_of_whose_lines_ran(tool):
     # the decorator line stands for the def, the second line for the return;
     # docstrings are never reported
     hits = {3, 6, 9, 11}
-    assert load_tool().unrun_statements(SOURCE, hits) == [
+    assert tool.unrun_statements(SOURCE, hits) == [
         (12, "raise ValueError("), (16, "class A:"), (19, "y = 1")]
 
 
-def test_everything_but_docstrings_reported_without_hits():
-    lines = [line for line, _ in load_tool().unrun_statements(SOURCE, set())]
+def test_everything_but_docstrings_reported_without_hits(tool):
+    lines = [line for line, _ in tool.unrun_statements(SOURCE, set())]
     assert lines == [3, 7, 9, 10, 12, 16, 19]
 
 
-def test_tracer_records_lines_of_the_package_only():
-    tool = load_tool()
+def test_tracer_records_lines_of_the_package_only(tool):
     assert Path(linop.__file__).resolve().parent == tool._PACKAGE
     hits = {}
     previous = sys.gettrace()

@@ -1,4 +1,4 @@
-"""Paired, in-process A/B timing of two source trees' estimators.
+"""Paired, in-process A/B timing and value check of two source trees' estimators.
 
 Each tree's `src/specdet` is loaded under a module name of its own, and
 each tree builds its own copy of a benchmark workload's cells from
@@ -17,7 +17,9 @@ A round makes every estimate of every cell once on each side. Per method
 it prints A's median round time (the method's total over the cells), the
 median over rounds of B's time relative to A's, the rounds in which B was
 faster, and whether every value of B equals A's bit for bit, otherwise
-their largest relative gap. The one-thread workloads run with one BLAS
+how many of the cells' values differ and the largest relative gap with
+its cell. `--rounds 1` is the value check of a change: every estimate of
+every cell, made once per tree. The one-thread workloads run with one BLAS
 thread, as `perfbench/run.py` runs them. The tool shows a timing claim; it
 does not replace `run.py`, whose set-up times, memory and gates it does not
 measure.
@@ -73,7 +75,7 @@ def run_rounds(sides, methods, rounds: int):
     `sides` is two (estimate_logdet, cells) pairs whose cells match one for
     one. Returns, per method, the seconds of each round as [A, B] pairs,
     each the total over the cells, and the values of the first round as
-    two lists, A's and B's.
+    two lists of (cell label, value), A's and B's.
     """
     times = {method: [[0.0, 0.0] for _ in range(rounds)] for method in methods}
     values = {method: ([], []) for method in methods}
@@ -87,7 +89,7 @@ def run_rounds(sides, methods, rounds: int):
                     est = estimate(cell.op, "lanczos" if method == "slq" else method, cell.cfg)
                     times[method][r][side] += time.perf_counter() - t0
                     if r == 0:
-                        values[method][side].append(est.value)
+                        values[method][side].append((cell.label, est.value))
                 i += 1
     return times, values
 
@@ -97,11 +99,12 @@ def summary(times, values) -> list:
     lines = [f"{'method':<10} {'A ms':>9} {'B-A':>8} {'B faster':>9}  values"]
     for method, rounds in times.items():
         a, b = values[method]
-        if a == b:
-            same = "equal"
+        gaps = [(abs(y - x) / abs(x) if x != 0.0 else abs(y), label)
+                for (label, x), (_, y) in zip(a, b) if x != y]
+        if gaps:
+            same = "{}/{} differ, max rel gap {:.2g} at {}".format(len(gaps), len(a), *max(gaps))
         else:
-            same = "max rel gap {:.2g}".format(max(
-                abs(y - x) / abs(x) if x != 0.0 else abs(y) for x, y in zip(a, b)))
+            same = "equal"
         gap = statistics.median(tb / ta - 1.0 for ta, tb in rounds)
         wins = sum(tb < ta for ta, tb in rounds)
         lines.append(f"{method:<10} {statistics.median(ta for ta, _ in rounds) * 1e3:>9.2f} "
@@ -118,6 +121,11 @@ def main(argv: list) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--methods", nargs="+", help="default: every method of the workload")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be >= 1, got {args.rounds}")
+    for flag, root in (("--a", args.a), ("--b", args.b)):
+        if not (root / "src" / "specdet" / "__init__.py").is_file():
+            parser.error(f"{flag}: the specdet sources are not under {root / 'src'}")
     # the thread count is read when numpy first loads, which the trees do
     threads = _load("perfbench_run", PERFBENCH / "run.py").BLAS_THREADS.get(args.workload)
     if threads is not None:
