@@ -41,11 +41,11 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import issymmetric
 from scipy.linalg.blas import dgemm
 
 
 _ROW_BLOCK_ELEMS = 1 << 15
-_SYMMETRY_TILE = 128
 _ENTRY_DTYPE = [("i", np.int64), ("j", np.int64), ("v", float)]
 
 
@@ -58,13 +58,6 @@ def row_blocks(n: int, width: int | None = None) -> list:
     """
     step = max(1, _ROW_BLOCK_ELEMS // (n if width is None else width))
     return [(i, min(i + step, n)) for i in range(0, n, step)]
-
-
-def _is_symmetric(A: np.ndarray) -> bool:
-    """Whether A == A.T, compared tile pair by tile pair, not in one n x n pass."""
-    n, t = len(A), _SYMMETRY_TILE
-    return all(np.array_equal(A[r:r + t, c:c + t], A[c:c + t, r:r + t].T)
-               for r in range(0, n, t) for c in range(r, n, t))
 
 
 class MatrixMarketError(ValueError):
@@ -105,7 +98,8 @@ class DenseOperator(LinearOperator):
 
     `symmetric=True` is the caller's guarantee that the matrix is exactly
     symmetric, as a kernel built by mirroring its lower triangle is; it
-    skips the tile-by-tile comparison that otherwise decides `symmetric`.
+    skips the comparison of A with A^T, `scipy.linalg.issymmetric`, that
+    otherwise decides `symmetric`: exact, and with no n x n temporary.
     """
 
     def __init__(self, matrix: np.ndarray, symmetric: bool = False):
@@ -118,7 +112,7 @@ class DenseOperator(LinearOperator):
         # A^T must be Fortran-ordered for dgemm to take it without a copy
         self.A = np.ascontiguousarray(A)
         self.n = A.shape[0]
-        self.symmetric = symmetric or _is_symmetric(self.A)
+        self.symmetric = symmetric or issymmetric(self.A)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         # f2py reports a mismatch as _fblas.error, not ValueError

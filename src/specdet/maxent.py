@@ -233,10 +233,11 @@ class DualProblem:
     a coefficient only grows large if the moment it matches is known
     accurately.
 
-    Each of `objective`, `gradient` and `hessian` takes the weights
-    `weights(alpha)` as `we` when the caller already holds them. The
-    gradient and Hessian are read off `gram_moments(we)`; see the module
-    docstring.
+    `objective` takes the weights `weights(alpha)` as `we` when the caller
+    already holds them. The gradient and Hessian are read off the Gram
+    moments `gram_moments(weights(alpha))`, which `gradient` and `hessian`
+    take keyword-only as `gram`, so a solve forms them once a step; see
+    the module docstring.
     """
 
     def __init__(self, prior: PriorSpec, moments: SpectralMoments,
@@ -264,21 +265,15 @@ class DualProblem:
         we = self.weights(alpha) if we is None else we
         return float(we.sum() + alpha @ self.mu + 0.5 * self.penalty @ (alpha * alpha))
 
-    def gradient(self, alpha: np.ndarray, we: np.ndarray | None = None) -> np.ndarray:
-        we = self.weights(alpha) if we is None else we
-        return self._gradient(alpha, self.gram_moments(we))
-
-    def hessian(self, alpha: np.ndarray, we: np.ndarray | None = None) -> np.ndarray:
-        we = self.weights(alpha) if we is None else we
-        return self._hessian(self.gram_moments(we))
-
-    def _gradient(self, alpha: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """mu - L g[:m+1] + p alpha."""
+    def gradient(self, alpha: np.ndarray, *, gram: np.ndarray | None = None) -> np.ndarray:
+        """mu - L g[:m+1] + p alpha, with g the Gram moments at alpha."""
+        g = self.gram_moments(self.weights(alpha)) if gram is None else gram
         fitted = g[:len(self.mu)] if self.L is None else self.L @ g[:len(self.mu)]
         return self.mu - fitted + self.penalty * alpha
 
-    def _hessian(self, g: np.ndarray) -> np.ndarray:
+    def hessian(self, alpha: np.ndarray, *, gram: np.ndarray | None = None) -> np.ndarray:
         """L G L^T + diag(p) with G[i, j] = (g_i+j + g_|i-j|) / 2, exactly symmetric."""
+        g = self.gram_moments(self.weights(alpha)) if gram is None else gram
         H = 0.5 * (g[self._i_plus_j] + g[self._i_minus_j])
         if self.L is not None:
             H = self.L @ H @ self.L.T
@@ -335,11 +330,11 @@ def solve(moments: SpectralMoments, prior: PriorSpec,
     S = problem.objective(alpha, we)
     for iterations in range(_MAX_ITER + 1):
         gram = problem.gram_moments(we)
-        g = problem._gradient(alpha, gram)
+        g = problem.gradient(alpha, gram=gram)
         gnorm = float(np.abs(g).max())
         if gnorm < config.gtol or iterations == _MAX_ITER:
             break
-        step = _newton_step(problem._hessian(gram), g)
+        step = _newton_step(problem.hessian(alpha, gram=gram), g)
         slope = g @ step
         noise = _ROUNDOFF * (we.sum() + abs(alpha @ problem.mu) + 1.0)
         t = 1.0

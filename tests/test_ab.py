@@ -1,5 +1,6 @@
 """The paired A/B timer in tools/: two trees' estimates, interleaved, compared."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -76,3 +77,32 @@ def test_refuses_a_tree_without_sources(tool, side, tmp_path, capsys):
     assert exit_.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f": error: {side}: the specdet sources are not under {tmp_path / 'src'}")
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--workload", "nosuch"],
+     "--workload must be one of ['dense-se', 'sparse-mtx', 'small-se'], got 'nosuch'"),
+    (["--workload", "dense-se", "--methods", "slq", "nosuch"],
+     "--methods must be among ['maxent', 'taylor', 'chebyshev', 'slq', 'exact'], "
+     "got ['slq', 'nosuch']"),
+], ids=["workload", "methods"])
+def test_refuses_an_unknown_workload_or_method_before_any_cell(tool, monkeypatch, capsys,
+                                                                args, error):
+    for name in ("perfbench_run", "specdet_a", "perfbench_workloads_a"):
+        monkeypatch.setitem(sys.modules, name, None)
+    load_workloads = tool.load_workloads
+
+    def without_cells(package, name):
+        # any cell built, by any workload, fails the test
+        def build(*_):
+            raise AssertionError("a cell was built")
+        workloads = load_workloads(package, name)
+        workloads.WORKLOADS = {key: dataclasses.replace(w, prepare=build, setup=build)
+                               for key, w in workloads.WORKLOADS.items()}
+        return workloads
+
+    monkeypatch.setattr(tool, "load_workloads", without_cells)
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(["--a", str(tool.ROOT), "--b", str(tool.ROOT), *args])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {error}")

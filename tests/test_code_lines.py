@@ -49,3 +49,12 @@ def test_prints_each_module_and_the_total(tool, tmp_path, capsys):
     assert tool.main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["1", "a"], ["8", "b"], ["9", "total"]]
+
+
+def test_refuses_a_path_that_is_not_a_directory(tool, tmp_path, capsys):
+    # neither a mistyped path nor a file may read as zero code lines
+    (tmp_path / "a.py").write_text("X = 1\n")
+    for path in (tmp_path / "missing", tmp_path / "a.py"):
+        assert tool.main([str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path} is not a directory\n"

@@ -245,7 +245,7 @@ class TestDenseOperator:
     @pytest.mark.parametrize("i, j", [(0, 1), (5, 200), (130, 140), (256, 130), (100, 299),
                                       (299, 0), (298, 299)])
     def test_one_asymmetric_entry_in_any_tile_detected(self, i, j):
-        # 300 rows span three 128-row tiles, the last one short
+        # entries above and below the diagonal, at the first and last rows
         rng = np.random.default_rng(4)
         A = rng.standard_normal((300, 300))
         A = A + A.T
@@ -270,6 +270,8 @@ class TestDenseOperator:
         assert DenseOperator(np.eye(3), symmetric=False).symmetric
         assert not DenseOperator([[2.0, 0.1], [0.0, 2.0]]).symmetric
         assert DenseOperator([[2.0, 0.1], [0.0, 2.0]], symmetric=True).symmetric
+        # the comparison is exact, and -0.0 == 0.0
+        assert DenseOperator([[1.0, -0.0], [0.0, 1.0]]).symmetric
 
     def test_base_class_has_no_product(self):
         with pytest.raises(NotImplementedError):

@@ -198,9 +198,14 @@ class TestDualWeights:
                                                              np.linspace(0.0, 1e-3, m + 1)))
         alpha = 0.3 * np.random.default_rng(2).standard_normal(m + 1)
         we = problem.weights(alpha)
+        gram = problem.gram_moments(we)
         assert problem.objective(alpha, we) == problem.objective(alpha)
-        assert np.array_equal(problem.gradient(alpha, we), problem.gradient(alpha))
-        assert np.array_equal(problem.hessian(alpha, we), problem.hessian(alpha))
+        assert np.array_equal(problem.gradient(alpha, gram=gram), problem.gradient(alpha))
+        assert np.array_equal(problem.hessian(alpha, gram=gram), problem.hessian(alpha))
+        # the Gram moments are keyword-only, so weights cannot pass for them
+        for method in (problem.gradient, problem.hessian):
+            with pytest.raises(TypeError):
+                method(alpha, gram)
 
 
 class TestDualHessian:
@@ -255,10 +260,10 @@ class TestGramMoments:
             we = problem.weights(alpha)
             tol = 1e-12 * we.sum()
             F = MomentBasis(kind, m).vandermonde(problem.nodes)
-            H = problem.hessian(alpha, we)
+            H = problem.hessian(alpha, gram=problem.gram_moments(we))
             direct = F.T @ (F * we[:, None]) + np.diag(problem.penalty)
             assert np.abs(H - direct).max() <= tol
-            g = problem.gradient(alpha, we)
+            g = problem.gradient(alpha, gram=problem.gram_moments(we))
             assert np.abs(g - (problem.mu - F.T @ we + problem.penalty * alpha)).max() <= tol
 
     @pytest.mark.parametrize("kind", [POWER, CHEBYSHEV, LEGENDRE])

@@ -133,14 +133,18 @@ def main(argv: list) -> int:
     sides = []
     for tag, root in (("a", args.a), ("b", args.b)):
         package = load_tree(root, f"specdet_{tag}")
-        workload = load_workloads(package, f"perfbench_workloads_{tag}").WORKLOADS[args.workload]
+        workloads = load_workloads(package, f"perfbench_workloads_{tag}")
+        # every workload runs the methods of ALL, so both are checked before any cell is built
+        if args.workload not in workloads.WORKLOADS:
+            parser.error(f"--workload must be one of {list(workloads.WORKLOADS)}, "
+                         f"got {args.workload!r}")
+        if not set(args.methods or ()) <= set(workloads.ALL):
+            parser.error(f"--methods must be among {list(workloads.ALL)}, got {args.methods}")
+        workload = workloads.WORKLOADS[args.workload]
         with tempfile.TemporaryDirectory() as tmp:
             cells = workload.setup(workload.prepare(args.seed, Path(tmp)), {})
         sides.append((package.estimate_logdet, cells))
-    listed = list(dict.fromkeys(m for cell in sides[0][1] for m in cell.methods))
-    if not set(args.methods or listed) <= set(listed):
-        parser.error(f"{args.workload} runs only {listed}")
-    methods = args.methods or listed
+    methods = args.methods or workloads.ALL
     times, values = run_rounds(sides, methods, args.rounds)
     print("\n".join(summary(times, values)))
     return 0

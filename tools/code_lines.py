@@ -8,7 +8,8 @@ the repository root:
     python3 tools/code_lines.py [directory]
 
 It prints one `<lines>  <module>` row per module, sorted by name, and the
-total; the directory defaults to src/specdet.
+total; the directory defaults to src/specdet. A path that is not a
+directory is refused with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ def code_lines(source: str) -> int:
 
 def main(argv: list) -> int:
     directory = Path(argv[0]) if argv else _DEFAULT_DIR
+    if not directory.is_dir():  # a mistyped path would read as zero lines
+        print(f"error: {directory} is not a directory", file=sys.stderr)
+        return 2
     total = 0
     for path in sorted(directory.glob("*.py")):
         count = code_lines(path.read_text())
