@@ -5,10 +5,10 @@ maximum-entropy surrogate spectral density, alongside Taylor, Chebyshev,
 and stochastic Lanczos quadrature baselines and an exact Cholesky oracle.
 """
 
-from .estimators import (EstimatorConfig, LogDetEstimate,
+from .estimators import (NUMERICAL_ERRORS, EstimatorConfig, LogDetEstimate,
                          condition_number_estimate, estimate_logdet,
-                         logdet_chebyshev, logdet_exact, logdet_lanczos,
-                         logdet_maxent, logdet_taylor)
+                         estimate_logdets, logdet_chebyshev, logdet_exact,
+                         logdet_lanczos, logdet_maxent, logdet_taylor)
 from .linop import (DenseOperator, LinearOperator, MatrixMarketError,
                     NormalizedOperator, NotPositiveDefiniteError,
                     SparseOperator, gershgorin_upper_bound, identity,
@@ -21,11 +21,12 @@ from .probes import (MomentBasis, SpectralMoments, estimate_moments,
 from .synth import KernelSpec, se_kernel
 
 __all__ = [
-    "BetaPrior", "DegenerateSpectrumError", "DenseOperator", "EstimatorConfig",
-    "KernelSpec", "LinearOperator", "LogDetEstimate", "MatrixMarketError",
-    "MomentBasis", "NormalizedOperator", "NotPositiveDefiniteError",
-    "SolverConfig", "SparseOperator", "SpectralMoments", "SurrogateDensity",
-    "UniformPrior", "condition_number_estimate", "estimate_logdet",
+    "NUMERICAL_ERRORS", "BetaPrior", "DegenerateSpectrumError", "DenseOperator",
+    "EstimatorConfig", "KernelSpec", "LinearOperator", "LogDetEstimate",
+    "MatrixMarketError", "MomentBasis", "NormalizedOperator",
+    "NotPositiveDefiniteError", "SolverConfig", "SparseOperator",
+    "SpectralMoments", "SurrogateDensity", "UniformPrior",
+    "condition_number_estimate", "estimate_logdet", "estimate_logdets",
     "estimate_moments", "fit_beta_prior", "gershgorin_upper_bound", "identity",
     "integrate_log_expectation", "logdet_chebyshev", "logdet_exact",
     "logdet_lanczos", "logdet_maxent", "logdet_taylor", "moments_to_power",

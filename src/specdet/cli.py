@@ -19,8 +19,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from .estimators import (METHODS, PRIORS, EstimatorConfig, condition_number_estimate,
-                         estimate_logdet, logdet_exact)
+# bench reads the oracle as the `exact` method; `logdet_exact` stays importable
+# from here for callers that reach the oracle through this module
+from .estimators import (METHODS, NUMERICAL_ERRORS, PRIORS, EstimatorConfig, LogDetEstimate,
+                         condition_number_estimate, estimate_logdet, estimate_logdets,
+                         logdet_exact)
 from .linop import identity, normalize, read_matrix_market
 from .maxent import SolverConfig
 from .probes import BASIS_KINDS, MomentBasis, estimate_moments
@@ -31,9 +34,6 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NUMERICAL = 4
 EXIT_NONCONVERGED = 5
-
-# what an estimate can raise on input that parsed but cannot be estimated
-_NUMERICAL_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 # bench runs kappa and the Cholesky oracle up to this n; the library's own
 # guard (20 000) would cost minutes and two 3.2 GB dense copies per case
@@ -175,7 +175,7 @@ def cmd_logdet(args) -> int:
     with _fails_as(EXIT_PARSE, "error: ", (OSError, ValueError)):
         op, dataset, _, min_eig = _load_operator(args)
     cfg = _estimator_config(args, min_eig)  # valid too: a source's hint is finite
-    with _fails_as(EXIT_NUMERICAL, "numerical failure: ", _NUMERICAL_ERRORS):
+    with _fails_as(EXIT_NUMERICAL, "numerical failure: ", NUMERICAL_ERRORS):
         est = estimate_logdet(op, args.method, cfg)
     if args.json:
         _print_json({"dataset": dataset, **asdict(est)})
@@ -199,7 +199,7 @@ def cmd_moments(args) -> int:
         basis = MomentBasis(args.basis, args.moments)
     with _fails_as(EXIT_PARSE, "error: ", (OSError, ValueError)):
         op, dataset, _, _ = _load_operator(args)
-    with _fails_as(EXIT_NUMERICAL, "numerical failure: ", _NUMERICAL_ERRORS):
+    with _fails_as(EXIT_NUMERICAL, "numerical failure: ", NUMERICAL_ERRORS):
         moments = estimate_moments(normalize(op), basis, args.probes, args.seed)
     if args.json:
         _print_json({
@@ -216,36 +216,32 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def _attempt(fn, *args) -> tuple:
-    """(fn(*args), "") or, when it raises a numerical failure, (None, its message)."""
-    try:
-        return fn(*args), ""
-    except _NUMERICAL_ERRORS as exc:
-        return None, str(exc)
-
-
 def _bench_case(op, dataset, lengthscale, min_eig, methods, args) -> list:
-    """One record per method on one operator; kappa and the oracle run once."""
+    """One record per method on one operator, all from one `estimate_logdets` call.
+
+    Where the oracle runs, `exact` joins the methods, once, and its value or
+    failure is every record's oracle; kappa runs once, and its failure is
+    every method's.
+    """
     cfg = _estimator_config(args, min_eig)
     # kappa makes the same O(n^3) dense copy as the oracle, so it runs where the oracle does
     oracle_runs = op.n <= _EXACT_GUARD
-    kappa, failed = (_attempt(condition_number_estimate, op) if args.kappa and oracle_runs
-                     else (None, ""))
-    runs = [(None, failed) if failed else _attempt(estimate_logdet, op, method, cfg)
-            for method in methods]
-    # the `exact` method's value or failure is the oracle's; otherwise factor once here
-    exact, exact_error = None, ""
-    if oracle_runs and "exact" in methods:
-        est, exact_error = runs[methods.index("exact")]
-        exact = None if est is None else est.value
-    elif oracle_runs and any(est is not None for est, _ in runs):
-        exact, exact_error = _attempt(logdet_exact, op)
+    run = [*methods, "exact"] if oracle_runs and "exact" not in methods else methods
+    try:
+        kappa = condition_number_estimate(op) if args.kappa and oracle_runs else None
+    except NUMERICAL_ERRORS as exc:
+        kappa, entries = None, [exc] * len(run)
+    else:
+        entries = estimate_logdets(op, run, cfg)
+    oracle = entries[run.index("exact")] if oracle_runs else None
+    exact = oracle.value if isinstance(oracle, LogDetEstimate) else None
+    exact_error = str(oracle) if isinstance(oracle, Exception) else ""
     records = []
-    for method, (est, error) in zip(methods, runs):
+    for method, est in zip(methods, entries):
         case = dict(dataset=dataset, n=op.n, kappa=kappa, lengthscale=lengthscale,
                     method=method, seed=cfg.seed)
-        if est is None:
-            records.append(BenchRecord(**case, m=cfg.m, d=cfg.d, error=error))
+        if isinstance(est, Exception):
+            records.append(BenchRecord(**case, m=cfg.m, d=cfg.d, error=str(est)))
             continue
         records.append(BenchRecord(
             **case, m=est.m, d=est.d, estimate=est.value, exact=exact,
@@ -259,9 +255,8 @@ def cmd_bench(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     if not methods:
         raise CLIError(EXIT_USAGE, "error: empty methods list")
-    for m in methods:
-        if m not in METHODS:
-            raise CLIError(EXIT_USAGE, f"error: unknown method {m!r}")
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise CLIError(EXIT_USAGE, f"error: unknown method {unknown[0]!r}")
     with _fails_as(EXIT_USAGE, "error: "):
         _estimator_config(args)  # out-of-range flags fail before any case is built
     with _fails_as(EXIT_PARSE, "error: "):

@@ -1,12 +1,16 @@
 """End-to-end log-determinant estimators.
 
-All stochastic methods run one body, `_estimate`: rescale the operator
-by its Gershgorin bound lambda_u so the spectrum sits in (0, 1], and return
-n log lambda_u + n E[log lambda]; a method only supplies its estimate of
-E[log lambda] over the rescaled spectrum, made from Rademacher probes. The maxent estimator fits a moment-constrained surrogate
-density; Taylor, Chebyshev-interpolation, and stochastic Lanczos
-quadrature are the classical baselines; a Cholesky oracle provides exact
-values for verification on matrices that fit in O(n^3).
+`estimate_logdets` makes every method's estimate from one shared pass:
+one Gershgorin bound lambda_u, which rescales the spectrum into (0, 1],
+one draw of Rademacher probes, and one pass of Chebyshev moments over
+them, each made at most once, when a method first reads it. Every
+stochastic method returns n log lambda_u + n E[log lambda] and supplies
+only its estimate of E[log lambda] over the rescaled spectrum. The maxent
+estimator fits a moment-constrained surrogate density to the moments;
+Taylor and Chebyshev interpolation are series on the same moments, and
+stochastic Lanczos quadrature runs on the same probes; a Cholesky oracle,
+which reads none of them, provides exact values for verification on
+matrices that fit in O(n^3).
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ import scipy.linalg
 from . import maxent
 from .linop import LinearOperator, NormalizedOperator, NotPositiveDefiniteError, normalize
 from .maxent import SolverConfig, UniformPrior, fit_beta_prior
-from .probes import CHEBYSHEV, MomentBasis, estimate_moments, moments_to_power, probe_matrix
+from .probes import (CHEBYSHEV, MomentBasis, chebyshev_moments, in_basis, moments_to_power,
+                     probe_matrix)
 
 PRIORS = ("uniform", "auto")
 _CHEB_FLOOR = 1e-6  # lower endpoint of the Chebyshev log-interpolation interval
 _FACTOR_GUARD = 20_000  # largest n the oracle and the condition number make dense
+# what an estimate raises on an input it cannot estimate
+NUMERICAL_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 
 @dataclass
@@ -101,24 +108,62 @@ def _choose_prior(cfg: EstimatorConfig, moments) -> maxent.PriorSpec:
         return UniformPrior()
 
 
-def _estimate(method: str, op: LinearOperator, cfg: EstimatorConfig | None,
-              log_mean) -> LogDetEstimate:
-    """n log lambda_u + n E[log lambda] on B = op / lambda_u, timed.
+def _raised(out):
+    """`out`, raised instead when it is an error."""
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    `log_mean(B, cfg)` returns E[log lambda] over B's spectrum and the solver fields it sets.
+
+class _SharedPass:
+    """The stages of `_STAGES` that the methods of one call share.
+
+    A stage runs on its first read, `shared[name]`, and keeps its value, or
+    the numerical error it raised, which every later read raises again, in
+    `done` with its seconds. Times are exclusive: a stage's or a method's
+    seconds do not count the stages it ran itself, and `spent` sums the
+    seconds of every stage run so far. `read` names the stages the current
+    method has read.
     """
-    cfg = cfg or EstimatorConfig()
-    t0 = time.perf_counter()
-    B = normalize(op)
-    mean, solver_fields = log_mean(B, cfg)
-    return LogDetEstimate(
-        value=float(op.n * mean + op.n * np.log(B.lambda_u)), method=method,
-        lambda_u=B.lambda_u, m=cfg.m, d=cfg.d, seed=cfg.seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3, **solver_fields)
+
+    def __init__(self, op: LinearOperator, cfg: EstimatorConfig):
+        self.op, self.cfg, self.done, self.read, self.spent = op, cfg, {}, set(), 0.0
+
+    def _timed(self, fn, *args) -> tuple:
+        """fn(*args), or the numerical error it raised, and its exclusive seconds."""
+        t0, spent = time.perf_counter(), self.spent
+        try:
+            out = fn(*args)
+        except NUMERICAL_ERRORS as exc:
+            out = exc
+        return out, time.perf_counter() - t0 - (self.spent - spent)
+
+    def __getitem__(self, name: str):
+        self.read.add(name)
+        if name not in self.done:
+            self.done[name] = self._timed(_STAGES[name], self)
+            self.spent += self.done[name][1]
+        return _raised(self.done[name][0])
+
+    def estimate(self, method: str):
+        """The method's estimate, timed with the stages it read, or the error it raised."""
+        self.read = set()
+        est, seconds = self._timed(_estimate, self, method)
+        if isinstance(est, LogDetEstimate):
+            est.wall_time_ms = (seconds + sum(self.done[stage][1] for stage in self.read)) * 1e3
+        return est
 
 
-def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
-    moments = estimate_moments(B, MomentBasis(cfg.basis, cfg.m), cfg.d, cfg.seed)
+# B = op / lambda_u, the probe columns Z, and B's Chebyshev moments on Z
+_STAGES = {"bound": lambda shared: normalize(shared.op),
+           "probes": lambda shared: probe_matrix(shared.op.n, shared.cfg.d, shared.cfg.seed),
+           "moments": lambda shared: chebyshev_moments(shared["bound"], shared.cfg.m,
+                                                       shared["probes"])}
+
+
+def _maxent_log_mean(shared: _SharedPass, cfg: EstimatorConfig):
+    B = shared["bound"]
+    moments = in_basis(shared["moments"], MomentBasis(cfg.basis, cfg.m))
     if moments.values[1] >= 1.0:
         # every basis has f_1 < f_1(1) = 1 on [0, 1), so a mean of 1 puts all
         # the probed spectral mass at 1, where log is 0: no density to fit
@@ -133,18 +178,17 @@ def _maxent_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
 
 def logdet_maxent(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
     """Moment-constrained maximum-entropy estimate of the log determinant."""
-    return _estimate("maxent", op, cfg, _maxent_log_mean)
+    return estimate_logdet(op, "maxent", cfg)
 
 
-def _chebyshev_series_log_mean(B: NormalizedOperator, cfg: EstimatorConfig, c: np.ndarray):
-    """sum_k c_k (mu_k - 1) on the Chebyshev moments of B.
+def _series(coefficients):
+    """The log mean sum_k c_k (mu_k - 1) on the shared Chebyshev moments, c = coefficients(m).
 
     sum_k c_k T_k(2x - 1) approximates log x and vanishes at x = 1, so
     subtracting 1 from every moment changes nothing in exact arithmetic
     and makes a spectrum sitting at 1 (the identity) give exactly 0.
     """
-    mu = estimate_moments(B, MomentBasis(CHEBYSHEV, cfg.m), cfg.d, cfg.seed).values
-    return c @ (mu - 1.0), {}
+    return lambda shared, cfg: (coefficients(cfg.m) @ (shared["moments"].values - 1.0), {})
 
 
 @functools.cache
@@ -168,8 +212,7 @@ def logdet_taylor(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Log
     log determinant; the implied surrogate density is not a probability
     density, which is why this is a baseline rather than a recommendation.
     """
-    return _estimate("taylor", op, cfg, lambda B, cfg: _chebyshev_series_log_mean(
-        B, cfg, _taylor_log_coefficients(cfg.m)))
+    return estimate_logdet(op, "taylor", cfg)
 
 
 @functools.cache
@@ -193,8 +236,7 @@ def logdet_chebyshev(op: LinearOperator, cfg: EstimatorConfig | None = None) -> 
     a = _CHEB_FLOOR; eigenvalues below a are extrapolated, which is the
     documented weakness of this baseline on ill-conditioned matrices.
     """
-    return _estimate("chebyshev", op, cfg, lambda B, cfg: _chebyshev_series_log_mean(
-        B, cfg, _chebyshev_log_coefficients(cfg.m, _CHEB_FLOOR)))
+    return estimate_logdet(op, "chebyshev", cfg)
 
 
 # Lanczos basis bytes one block of probes may always hold. A block may hold
@@ -330,10 +372,10 @@ def _gauss_rule(alpha: np.ndarray, beta: np.ndarray):
     return theta, V
 
 
-def _lanczos_log_mean(B: NormalizedOperator, cfg: EstimatorConfig):
+def _lanczos_log_mean(shared: _SharedPass, cfg: EstimatorConfig):
+    B, Z = shared["bound"], shared["probes"]
     m = min(cfg.m, B.n)
     width = max(1, max(_BASIS_BYTES, B.inner.nbytes) // (8 * m * B.n))
-    Z = probe_matrix(B.n, cfg.d, cfg.seed)
     per_probe = np.concatenate([
         _lanczos_log_quadrature(B, block, m)
         for block in np.array_split(Z, -(-cfg.d // width), axis=1)])
@@ -348,7 +390,7 @@ def logdet_lanczos(op: LinearOperator, cfg: EstimatorConfig | None = None) -> Lo
     and the operator's own storage (`op.nbytes`) unless a single probe's
     basis does.
     """
-    return _estimate("lanczos", op, cfg, _lanczos_log_mean)
+    return estimate_logdet(op, "lanczos", cfg)
 
 
 def condition_number_estimate(op: LinearOperator) -> float:
@@ -364,27 +406,48 @@ def condition_number_estimate(op: LinearOperator) -> float:
     return float(lam[-1] / lam[0])
 
 
-def _exact_estimate(op: LinearOperator, cfg: EstimatorConfig | None = None) -> LogDetEstimate:
-    """The Cholesky oracle as an estimate; it needs no bound and no probes."""
-    t0 = time.perf_counter()
-    return LogDetEstimate(value=logdet_exact(op), method="exact", lambda_u=float("nan"),
-                          m=0, d=0, seed=(cfg or EstimatorConfig()).seed,
-                          wall_time_ms=(time.perf_counter() - t0) * 1e3)
+_LOG_MEANS = {"maxent": _maxent_log_mean, "taylor": _series(_taylor_log_coefficients),
+              "chebyshev": _series(lambda m: _chebyshev_log_coefficients(m, _CHEB_FLOOR)),
+              "lanczos": _lanczos_log_mean}
+METHODS = (*_LOG_MEANS, "exact")
 
 
-_METHODS = {
-    "maxent": logdet_maxent,
-    "taylor": logdet_taylor,
-    "chebyshev": logdet_chebyshev,
-    "lanczos": logdet_lanczos,
-    "exact": _exact_estimate,
-}
-METHODS = tuple(_METHODS)
+def _estimate(shared: _SharedPass, method: str) -> LogDetEstimate:
+    """The method's estimate on the shared pass, untimed.
+
+    A stochastic method is n log lambda_u + n E[log lambda] on B = op /
+    lambda_u, from the E[log lambda] and solver fields its `_LOG_MEANS`
+    entry returns; `exact` is the Cholesky oracle, which reads no stage.
+    """
+    op, cfg = shared.op, shared.cfg
+    if method == "exact":
+        return LogDetEstimate(value=logdet_exact(op), method=method, lambda_u=float("nan"),
+                              m=0, d=0, seed=cfg.seed)
+    mean, fields = _LOG_MEANS[method](shared, cfg)
+    lambda_u = shared["bound"].lambda_u
+    return LogDetEstimate(value=float(op.n * mean + op.n * np.log(lambda_u)), method=method,
+                          lambda_u=lambda_u, m=cfg.m, d=cfg.d, seed=cfg.seed, **fields)
+
+
+def estimate_logdets(op: LinearOperator, methods, cfg: EstimatorConfig | None = None) -> list:
+    """One entry per method, in order, all made from one shared pass.
+
+    The methods share one Gershgorin bound, one probe draw and one moment
+    pass, each made when a method first reads it, so maxent, Taylor and
+    Chebyshev together make ceil(m/2) products and every method reads the
+    same probes. An entry is the method's `LogDetEstimate`, or the
+    `NUMERICAL_ERRORS` error that the method, or a shared stage it read,
+    raised; a stage that raised is not run again. An estimate's
+    `wall_time_ms` is its own time plus that of the shared stages it read:
+    what the method takes alone.
+    """
+    if unknown := [method for method in methods if method not in METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}; expected one of {list(METHODS)}")
+    shared = _SharedPass(op, cfg or EstimatorConfig())
+    return [shared.estimate(method) for method in methods]
 
 
 def estimate_logdet(op: LinearOperator, method: str,
                     cfg: EstimatorConfig | None = None) -> LogDetEstimate:
-    """Dispatch by method name through the method table."""
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
-    return _METHODS[method](op, cfg)
+    """The one-method `estimate_logdets`; its numerical error is raised, not returned."""
+    return _raised(*estimate_logdets(op, [method], cfg))

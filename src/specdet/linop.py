@@ -268,10 +268,12 @@ def read_matrix_market(path) -> SparseOperator:
     the lower one, from which the operator builds the full matrix it
     multiplies with. Raises MatrixMarketError for malformed headers, size
     lines and entry lines, non-symmetric declarations, non-square sizes,
-    an entry count that differs from the declared one, and out-of-range
-    indices; the operator raises ValueError for non-finite values. A
-    malformed entry line carries numpy's row number, which counts from the
-    line after the size line; the message names that line's number.
+    an entry count that differs from the declared one, out-of-range
+    indices, and a position given twice, in one triangle or both, which
+    the fold would add up; the operator raises ValueError for non-finite
+    values. A malformed entry line carries numpy's row number, which
+    counts from the line after the size line; the message names that
+    line's number.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -317,7 +319,12 @@ def read_matrix_market(path) -> SparseOperator:
     if bad.size:
         k = bad[0]
         raise MatrixMarketError(f"index out of range: ({i[k]}, {j[k]}) for n={nrows}")
-    return SparseOperator.from_coo(i - 1, j - 1, entries["v"], nrows)
+    rows, cols = np.maximum(i, j), np.minimum(i, j)
+    lower = sp.coo_matrix((entries["v"], (rows - 1, cols - 1)), shape=(nrows, nrows)).tocsr()
+    if lower.nnz != nnz:  # the conversion adds up the entries of one position
+        pos, count = np.unique(np.c_[rows, cols], axis=0, return_counts=True)
+        raise MatrixMarketError("position ({}, {}) given more than once".format(*pos[count > 1][0]))
+    return SparseOperator(lower)
 
 
 def write_matrix_market(op: LinearOperator, path) -> None:

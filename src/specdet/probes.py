@@ -24,7 +24,7 @@ short for T_k(2B - I)),
 so m moments cost ceil(m/2) block products (the doubling trick of the
 kernel polynomial method; Weisse, Wellein, Alvermann & Fehske, Rev. Mod.
 Phys. 78, 2006). Power and Legendre moments are an exact linear map of
-the Chebyshev ones (`MomentBasis.chebyshev_matrix`).
+the Chebyshev ones (`MomentBasis.chebyshev_matrix`, applied by `in_basis`).
 
 For B = K / lambda_u each step multiplies by K itself and then walks the
 n x d product in the ~256 KB row tiles of `linop.row_blocks(n, d)`. Each
@@ -205,13 +205,13 @@ def probe_matrix(n: int, d: int, seed: int) -> np.ndarray:
     return np.ascontiguousarray(signs.T, dtype=float)
 
 
-def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
-    """Per-probe quadratic forms z_j.f_i(B)z_j / n; shape (d, m+1).
+def chebyshev_moments(B, m: int, Z: np.ndarray) -> SpectralMoments:
+    """The Chebyshev moments of B, order m, on the probe columns of Z.
 
     Makes ceil(m/2) calls to B.inner.matmat; see the module docstring.
+    Every other basis reads these samples through `in_basis`.
     """
     n, d = Z.shape
-    m = basis.order
     lam = B.lambda_u
     # dividing by lam / c equals c times the quotient by lam only while lam / c
     # is exact; below lam = 2^-1020 lam / 4 is subnormal and may round, so
@@ -257,11 +257,16 @@ def _moment_samples(B, basis: MomentBasis, Z: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"Chebyshev moment sample {worst:.3g} exceeds 1 in magnitude: the "
             "normalized matrix has an eigenvalue below 0, not positive definite")
+    return SpectralMoments(MomentBasis(CHEBYSHEV, m), samples)
+
+
+def in_basis(moments: SpectralMoments, basis: MomentBasis) -> SpectralMoments:
+    """Chebyshev moments' samples in `basis` of the same order, by its change of basis L."""
     if basis.kind == CHEBYSHEV:
-        return samples
+        return moments
     # every f_i and T_k is 1 at x = 1, so each row of L sums to 1 and the
     # map can act on deviations from 1: a spectrum at 1 gives exactly 1
-    return 1.0 + (samples - 1.0) @ basis.chebyshev_matrix().T
+    return SpectralMoments(basis, 1.0 + (moments.samples - 1.0) @ basis.chebyshev_matrix().T)
 
 
 def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMoments:
@@ -284,7 +289,7 @@ def estimate_moments(op, basis: MomentBasis, d: int, seed: int) -> SpectralMomen
     """
     if d < 1:
         raise ValueError("probe count d must be >= 1")
-    return SpectralMoments(basis, _moment_samples(op, basis, probe_matrix(op.n, d, seed)))
+    return in_basis(chebyshev_moments(op, basis.order, probe_matrix(op.n, d, seed)), basis)
 
 
 def moments_to_power(moments: SpectralMoments) -> SpectralMoments:

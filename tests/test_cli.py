@@ -351,12 +351,12 @@ class TestBench:
             built.append(spec)
             return DenseOperator(np.eye(3))
 
-        def record_hint(op, method, cfg):
+        def record_hint(op, methods, cfg):
             hints.append(cfg.min_eigenvalue)
-            return estimators.estimate_logdet(op, method, cfg)
+            return estimators.estimate_logdets(op, methods, cfg)
 
         monkeypatch.setattr(cli, "se_kernel", small_kernel)
-        monkeypatch.setattr(cli, "estimate_logdet", record_hint)
+        monkeypatch.setattr(cli, "estimate_logdets", record_hint)
         assert main(["bench", *flags, "--methods", "taylor", "-m", "4", "-d", "2"]) == 0
         assert built == specs
         # the kernel's diagonal noise is the min-eig hint of its case
@@ -386,7 +386,7 @@ class TestBench:
         def no_estimate(*args):
             raise AssertionError("an estimate ran")
 
-        monkeypatch.setattr(cli, "estimate_logdet", no_estimate)
+        monkeypatch.setattr(cli, "estimate_logdets", no_estimate)
         code = main(["bench", "--lengthscales", "0.5", "--se-kernel", "n=20",
                      "--csv", str(tmp_path / target)])
         assert code == 2
@@ -541,6 +541,9 @@ def test_estimate_failures_are_numerical(error, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "estimate_logdet", fail)
     monkeypatch.setattr(cli, "estimate_moments", fail)
+    # bench's shared call returns each method's failure as its entry
+    monkeypatch.setattr(cli, "estimate_logdets",
+                        lambda op, methods, cfg: [error("no estimate")] * len(methods))
     for command in ("estimate", "moments"):
         assert main([command, "--identity", "5"]) == 4
         captured = capsys.readouterr()

@@ -1,17 +1,18 @@
 """End-to-end estimators against the Cholesky oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.interpolate
 import scipy.sparse as sp
 
-from specdet import estimators, maxent
+from specdet import estimators, maxent, probes
 from specdet.estimators import (EstimatorConfig, NotPositiveDefiniteError,
                                 condition_number_estimate, estimate_logdet,
-                                logdet_chebyshev, logdet_exact, logdet_lanczos,
-                                logdet_maxent, logdet_taylor)
+                                estimate_logdets, logdet_chebyshev, logdet_exact,
+                                logdet_lanczos, logdet_maxent, logdet_taylor)
 from specdet.linop import (DenseOperator, LinearOperator, NormalizedOperator,
                            SparseOperator, gershgorin_upper_bound, identity,
                            normalize)
@@ -640,3 +641,94 @@ class TestDispatch:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(m=0)
+
+
+class TestSharedPass:
+    """One call shares one bound, one probe draw and one moment pass among its methods."""
+
+    POLYNOMIAL = ["maxent", "taylor", "chebyshev"]
+    CASES = {"se": lambda: se_kernel(KernelSpec(n=200, lengthscale=0.65, seed=1)),
+             "laplacian": lambda: grid_laplacian(12)}
+
+    @pytest.mark.parametrize("basis", [CHEBYSHEV, LEGENDRE, POWER])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_entry_is_the_single_call(self, case, basis):
+        op = self.CASES[case]()
+        cfg = EstimatorConfig(m=10, d=12, seed=3, basis=basis)
+        entries = estimate_logdets(op, estimators.METHODS, cfg)
+        assert [est.method for est in entries] == list(estimators.METHODS)
+        for est in entries:
+            alone = estimate_logdet(op, est.method, cfg)
+            assert est.value == alone.value, est.method
+            assert (est.iterations, est.converged) == (alone.iterations, alone.converged)
+
+    @pytest.mark.parametrize("m", [1, 6, 7])
+    def test_polynomial_methods_make_one_moment_pass(self, m):
+        # one call per method makes 3 ceil(m/2) products
+        op = CountingOperator(random_spd(30, 2, lo=0.2))
+        estimate_logdets(op, self.POLYNOMIAL, EstimatorConfig(m=m, d=3, seed=0))
+        assert op.matmats == math.ceil(m / 2)
+
+    def test_lanczos_reads_the_same_probe_draw(self, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return probe_matrix(*args)
+
+        monkeypatch.setattr(estimators, "probe_matrix", counted)
+        estimate_logdets(random_spd(30, 2, lo=0.2), [*self.POLYNOMIAL, "lanczos"],
+                         EstimatorConfig(m=6, d=3, seed=5))
+        assert draws == [(30, 3, 5)]
+
+    def test_a_method_error_is_its_entry_alone(self):
+        # maxent's dual overflows on this near-point spectrum
+        op = DenseOperator(np.diag(np.r_[np.ones(49), 1.0 - 1e-6]))
+        cfg = EstimatorConfig(m=10, d=30)
+        methods = [*self.POLYNOMIAL, "lanczos"]
+        entries = estimate_logdets(op, methods, cfg)
+        assert isinstance(entries[0], OverflowError)
+        with pytest.raises(OverflowError):
+            logdet_maxent(op, cfg)
+        for method, est in zip(methods[1:], entries[1:]):
+            assert est.value == estimate_logdet(op, method, cfg).value, method
+
+    def test_a_stage_error_is_raised_once_and_shared(self, monkeypatch):
+        passes = []
+
+        def counted(*args):
+            passes.append(args[1:])
+            return probes.chebyshev_moments(*args)
+
+        monkeypatch.setattr(estimators, "chebyshev_moments", counted)
+        entries = estimate_logdets(five_negative_eigenvalues(), self.POLYNOMIAL,
+                                   EstimatorConfig(m=30, d=30))
+        assert len(passes) == 1
+        assert isinstance(entries[0], NotPositiveDefiniteError)
+        assert entries[0] is entries[1] is entries[2]
+
+    def test_exact_reads_no_stage(self, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a shared stage ran")
+
+        monkeypatch.setattr(estimators, "normalize", no_stage)
+        monkeypatch.setattr(estimators, "probe_matrix", no_stage)
+        (est,) = estimate_logdets(diag124(), ["exact"])
+        assert est.value == pytest.approx(LN8)
+
+    def test_wall_time_counts_the_stages_each_method_read(self, monkeypatch):
+        def slow_normalize(op):
+            time.sleep(0.05)
+            return normalize(op)
+
+        monkeypatch.setattr(estimators, "normalize", slow_normalize)
+        taylor, lanczos, exact = estimate_logdets(diag124(), ["taylor", "lanczos", "exact"],
+                                                  EstimatorConfig(m=4, d=2))
+        # both read the one bound, which only the first ran, and count it once
+        assert 50.0 <= taylor.wall_time_ms < 100.0 and 50.0 <= lanczos.wall_time_ms < 100.0
+        assert exact.wall_time_ms < 50.0
+
+    def test_unknown_method_refused_before_any_stage(self, monkeypatch):
+        monkeypatch.setattr(estimators, "normalize", lambda op: pytest.fail("a stage ran"))
+        with pytest.raises(ValueError, match="unknown method 'qr'"):
+            estimate_logdets(diag124(), ["taylor", "qr"])

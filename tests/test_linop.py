@@ -473,13 +473,25 @@ class TestMatrixMarket:
 
     @pytest.mark.parametrize("body, off_diagonal", [
         ("2 2 3\n1 1 2.0\n1 2 -1.0\n2 2 2.0\n", -1.0),
-        ("2 2 4\n1 1 2.0\n2 1 -1.0\n1 2 -0.5\n2 2 2.0\n", -1.5),
-    ], ids=["upper-mirrored", "both-triangles-summed"])
+    ], ids=["upper-mirrored"])
     def test_entries_folded_into_lower_triangle(self, tmp_path, body, off_diagonal):
         path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
         op = read_matrix_market(path)
         assert np.array_equal(op.lower.toarray(), [[2.0, 0.0], [off_diagonal, 2.0]])
         assert np.array_equal(op.to_dense(), [[2.0, off_diagonal], [off_diagonal, 2.0]])
+
+    @pytest.mark.parametrize("body, position", [
+        # adding up would read [[2, 2], [2, 2]], whose log det is -inf, not log 3
+        ("2 2 4\n1 1 2\n2 1 1\n1 2 1\n2 2 2\n", "(2, 1)"),
+        ("2 2 4\n1 1 2.0\n2 1 -1.0\n1 2 -0.5\n2 2 2.0\n", "(2, 1)"),
+        ("3 3 4\n1 1 2.0\n3 3 1.0\n2 2 1.0\n3 3 1.0\n", "(3, 3)"),
+        ("3 3 3\n3 1 0\n2 2 1.0\n3 1 0\n", "(3, 1)"),
+    ], ids=["both-triangles", "both-triangles-unequal", "diagonal", "explicit-zero"])
+    def test_position_given_twice_rejected(self, tmp_path, body, position):
+        path = self.write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n" + body)
+        with pytest.raises(MatrixMarketError,
+                           match=re.escape(f"position {position} given more than once")):
+            read_matrix_market(path)
 
     def test_written_text(self, tmp_path):
         A = np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, 0.1], [0.0, 0.1, 2.0]])
